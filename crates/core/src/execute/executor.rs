@@ -425,15 +425,9 @@ fn locate_inner<S: GuiSurface>(
         }
         probed.push(at);
         let shot = session.screenshot();
-        let page_snapshot;
         let view = GroundView {
             shot: &shot,
-            page: if cfg.strategy == GroundingStrategy::SomHtml {
-                page_snapshot = session.page().clone();
-                Some(&page_snapshot)
-            } else {
-                None
-            },
+            page: (cfg.strategy == GroundingStrategy::SomHtml).then(|| session.page()),
             scroll_y: session.scroll_y(),
         };
         let (pt, _) = ground_click(model, cfg.strategy, &view, query);

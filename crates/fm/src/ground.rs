@@ -11,6 +11,8 @@
 //!   (detector misses), duplicate labels, tag/role mismatches ("the profile
 //!   *button*" rendering as `<svg>`).
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +21,6 @@ use eclair_vision::marks::Mark;
 
 use crate::percept::ScenePercept;
 use crate::profile::ModelProfile;
-use crate::text::fuzzy_similarity;
 
 /// The result of a grounding call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,71 +135,106 @@ pub fn native_ground<R: Rng>(
 
 /// Role words a description may carry; they describe the widget's kind,
 /// not its text.
-const ROLE_WORDS: &[&str] = &[
+pub(crate) const ROLE_WORDS: &[&str] = &[
     "the", "a", "an", "field", "fields", "dropdown", "button", "link", "tab", "checkbox", "icon",
     "box", "input", "area",
 ];
 
-fn core_terms(description: &str) -> Vec<String> {
-    crate::text::tokens(description)
-        .into_iter()
-        .filter(|t| !ROLE_WORDS.contains(&t.as_str()))
-        .collect()
+/// `s` ready for [`has`]: ASCII text as is, anything else lowercased (the
+/// Kelvin sign `K` is not ASCII but lowercases to `k`).
+fn foldable(s: &str) -> Cow<'_, str> {
+    if s.is_ascii() {
+        Cow::Borrowed(s)
+    } else {
+        Cow::Owned(s.to_lowercase())
+    }
+}
+
+/// Whether `s` contains the lowercase ASCII `word`, ignoring ASCII case:
+/// `s.to_lowercase().contains(word)` for an ASCII or lowercased `s`.
+fn has(s: &str, word: &str) -> bool {
+    s.as_bytes()
+        .windows(word.len())
+        .any(|w| w.eq_ignore_ascii_case(word.as_bytes()))
+}
+
+/// The roles a description asks for, given [`foldable`] or lowercased:
+/// `(button-like, field)`.
+fn wanted_roles(d: &str) -> (bool, bool) {
+    let wants_button = has(d, "button") || has(d, "link") || has(d, "tab");
+    let wants_field = has(d, "field") || has(d, "dropdown") || has(d, "box") || has(d, "area");
+    (wants_button, wants_field)
+}
+
+/// The roles a mark's tag/class hint ("button", "a", or a detector class
+/// such as "BoxButton") says it has: `(button-like, field)`.
+fn hint_roles(hint: &str) -> (bool, bool) {
+    let h = &*foldable(hint);
+    let buttonish = has(h, "button") || h.eq_ignore_ascii_case("a") || has(h, "link");
+    let fieldish = has(h, "input") || has(h, "textarea") || has(h, "select");
+    (buttonish, fieldish)
 }
 
 /// Score every mark against a description. Public so experiments can
 /// inspect the ranking the model saw.
+///
+/// The description is lowercased, tokenized and stemmed once per call;
+/// each mark's text once per mark (see [`crate::text`]).
 pub fn score_marks(description: &str, marks: &[Mark]) -> Vec<(u32, f64)> {
-    let lower = description.to_lowercase();
-    let wants_button = lower.contains("button") || lower.contains("link") || lower.contains("tab");
-    let wants_field = lower.contains("field")
-        || lower.contains("dropdown")
-        || lower.contains("box")
-        || lower.contains("area");
-    let core = core_terms(description);
-    let core_joined = core.join(" ");
-    marks
-        .iter()
-        .map(|m| {
-            let mut s = if m.text.is_empty() {
-                // Unlabeled candidate (icon): only positional/role priors
-                // remain — worth very little.
-                0.05
-            } else {
-                let text_tokens = crate::text::tokens(&m.text);
-                let all_present = !core.is_empty() && core.iter().all(|t| text_tokens.contains(t));
-                // Subword agreement ("Ship" ↔ "Create shipment") keeps a
-                // relabeled control findable — the semantic robustness that
-                // separates FM grounding from string-matching selectors.
-                let subword = core
-                    .iter()
-                    .any(|q| q.len() >= 4 && text_tokens.iter().any(|t| t.contains(q.as_str())));
-                let base = fuzzy_similarity(&m.text, &core_joined)
-                    .max(crate::text::stem_overlap(&m.text, &core_joined) * 0.9);
-                if all_present {
-                    base.max(0.75)
-                } else if subword {
-                    base.max(0.45)
+    crate::text::with_scratch(|s| {
+        s.b.load(description);
+        let (wants_button, wants_field) = wanted_roles(s.b.text());
+        let mut core_joined = String::with_capacity(s.b.text().len());
+        for t in s.b.tokens().filter(|t| !ROLE_WORDS.contains(t)) {
+            if !core_joined.is_empty() {
+                core_joined.push(' ');
+            }
+            core_joined.push_str(t);
+        }
+        // Its tokens are the core terms themselves: tokens are lowercase
+        // alphanumeric runs, and lowercasing is idempotent.
+        s.b.load(&core_joined);
+        let has_core = !core_joined.is_empty();
+        marks
+            .iter()
+            .map(|m| {
+                let mut score = if m.text.is_empty() {
+                    // Unlabeled candidate (icon): only positional/role priors
+                    // remain — worth very little.
+                    0.05
                 } else {
-                    base
+                    s.a.load(&m.text);
+                    let all_present =
+                        has_core && s.b.tokens().all(|q| s.a.tokens().any(|t| t == q));
+                    // Subword agreement ("Ship" ↔ "Create shipment") keeps a
+                    // relabeled control findable — the semantic robustness that
+                    // separates FM grounding from string-matching selectors.
+                    let subword =
+                        s.b.tokens()
+                            .any(|q| q.len() >= 4 && s.a.tokens().any(|t| t.contains(q)));
+                    let base = s.fuzzy().max(s.stem_overlap() * 0.9);
+                    if all_present {
+                        base.max(0.75)
+                    } else if subword {
+                        base.max(0.45)
+                    } else {
+                        base
+                    }
+                };
+                // Role mismatch: asked for a "button" but the candidate's
+                // tag/class hint says otherwise (the `<svg>` failure of §4.2.1)
+                // — and vice versa for fields.
+                let (buttonish, fieldish) = hint_roles(&m.hint);
+                if wants_button && !buttonish {
+                    score *= 0.55;
                 }
-            };
-            // Role mismatch: asked for a "button" but the candidate's
-            // tag/class hint says otherwise (the `<svg>` failure of §4.2.1)
-            // — and vice versa for fields.
-            let hint = m.hint.to_lowercase();
-            let buttonish = hint.contains("button") || hint == "a" || hint.contains("link");
-            let fieldish =
-                hint.contains("input") || hint.contains("textarea") || hint.contains("select");
-            if wants_button && !buttonish {
-                s *= 0.55;
-            }
-            if wants_field && !fieldish {
-                s *= 0.5;
-            }
-            (m.label, s)
-        })
-        .collect()
+                if wants_field && !fieldish {
+                    score *= 0.5;
+                }
+                (m.label, score)
+            })
+            .collect()
+    })
 }
 
 /// Set-of-marks grounding: choose a mark label for `description`.
@@ -228,18 +264,11 @@ pub fn select_mark<R: Rng>(
         // ("when unsure, the submit button is the button"). This is what
         // lets an FM agent survive UI relabeling that breaks rule-based
         // selectors.
-        let lower = description.to_lowercase();
-        let wants_field = lower.contains("field")
-            || lower.contains("dropdown")
-            || lower.contains("box")
-            || lower.contains("area");
+        let (_, wants_field) = wanted_roles(&foldable(description));
         let roleish: Vec<u32> = marks
             .iter()
             .filter(|m| {
-                let hint = m.hint.to_lowercase();
-                let fieldish =
-                    hint.contains("input") || hint.contains("textarea") || hint.contains("select");
-                let buttonish = hint.contains("button") || hint == "a" || hint.contains("link");
+                let (buttonish, fieldish) = hint_roles(&m.hint);
                 if wants_field {
                     fieldish
                 } else {

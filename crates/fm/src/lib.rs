@@ -33,6 +33,8 @@ pub mod model;
 pub mod percept;
 pub mod profile;
 pub mod prompt;
+#[cfg(test)]
+mod reference;
 pub mod sampling;
 pub mod text;
 pub mod tokens;

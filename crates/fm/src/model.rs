@@ -72,8 +72,9 @@ pub struct FmModel {
     /// FNV-1a fingerprint of the full profile (its `Debug` rendering, a
     /// superset of the name): part of every percept key, so two profiles
     /// that share a name but differ in any capability parameter still
-    /// key separately.
-    profile_fp: u64,
+    /// key separately. Filled by the first [`Self::perceive`]; the
+    /// profile never changes after construction.
+    profile_fp: Option<u64>,
     /// Bounded memo of perception results keyed by the full purity tuple.
     percept_memo: std::collections::HashMap<PerceptKey, ScenePercept>,
     /// Insertion order of `percept_memo` keys, for eviction.
@@ -116,7 +117,6 @@ impl FmModel {
         // Run id 0 by default; the fleet re-seats the clock per run via
         // `TraceRecorder::set_clock` before execution starts.
         trace.set_clock(VirtualClock::new(seed, 0));
-        let profile_fp = fnv_str(&format!("{profile:?}"));
         Self {
             profile,
             seed,
@@ -125,7 +125,7 @@ impl FmModel {
             sampling: Sampling::greedy(),
             trace,
             cache_enabled: !eclair_gui::no_cache_env(),
-            profile_fp,
+            profile_fp: None,
             percept_memo: std::collections::HashMap::new(),
             percept_order: std::collections::VecDeque::new(),
             shared: None,
@@ -246,7 +246,10 @@ impl FmModel {
     /// `shared_cached_tokens` for the shared layer).
     pub fn perceive(&mut self, shot: &Screenshot) -> ScenePercept {
         let frame = shot.frame_hash();
-        let key: PerceptKey = (self.seed, self.profile_fp, frame);
+        let profile_fp = *self
+            .profile_fp
+            .get_or_insert_with(|| fnv_str(&format!("{:?}", self.profile)));
+        let key: PerceptKey = (self.seed, profile_fp, frame);
         let prompt_tokens = 85 + 4 * shot.items.len() as u64;
         if self.cache_enabled {
             if let Some(percept) = self.percept_memo.get(&key).cloned() {

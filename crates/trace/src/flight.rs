@@ -1,67 +1,43 @@
-//! A bounded ring buffer over the most recent trace events — the "black
-//! box" to read after a failed run without exporting the full trace.
+//! The flight tail: the most recent trace events — the "black box" to
+//! read after a failed run without exporting the full trace.
 
 use crate::event::{EventKind, TraceEvent};
-use std::collections::VecDeque;
 
-/// Default number of events the flight recorder retains.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
+/// Number of events the flight tail shows.
+pub const FLIGHT_TAIL_LEN: usize = 64;
 
-/// Keeps the last `capacity` events pushed into it.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    capacity: usize,
-    buf: VecDeque<TraceEvent>,
+/// The last (at most) [`FLIGHT_TAIL_LEN`] events of a recorder, borrowed
+/// from its own event list rather than kept as a second copy. It covers
+/// only the events the recorder still holds: after
+/// [`TraceRecorder::take_events`] or [`TraceRecorder::reset`] it starts
+/// over from the next event.
+///
+/// [`TraceRecorder::take_events`]: crate::TraceRecorder::take_events
+/// [`TraceRecorder::reset`]: crate::TraceRecorder::reset
+#[derive(Debug, Clone, Copy)]
+pub struct FlightTail<'a> {
+    events: &'a [TraceEvent],
 }
 
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new(DEFAULT_FLIGHT_CAPACITY)
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
+impl<'a> FlightTail<'a> {
+    /// The tail of `events`.
+    pub(crate) fn new(events: &'a [TraceEvent]) -> Self {
+        let start = events.len().saturating_sub(FLIGHT_TAIL_LEN);
+        FlightTail {
+            events: &events[start..],
         }
     }
 
-    /// Record one event, evicting the oldest when full.
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event);
+    /// The events in the tail, oldest first.
+    pub fn events(&self) -> &'a [TraceEvent] {
+        self.events
     }
 
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Human-readable dump of the retained tail, one line per event —
-    /// what gets printed when a run fails.
+    /// Human-readable dump of the tail, one line per event — what gets
+    /// printed when a run fails.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        for e in &self.buf {
+        for e in self.events {
             out.push_str(&format!(
                 "#{:<5} span {:<4} {}\n",
                 e.seq,
@@ -128,23 +104,26 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_only_the_tail() {
-        let mut f = FlightRecorder::new(3);
-        for i in 0..10 {
-            f.push(note(i, "x"));
-        }
-        assert_eq!(f.len(), 3);
-        let seqs: Vec<u64> = f.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9]);
+    fn tail_keeps_only_the_last_events() {
+        let events: Vec<TraceEvent> = (0..70).map(|i| note(i, "x")).collect();
+        let seqs: Vec<u64> = FlightTail::new(&events)
+            .events()
+            .iter()
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(seqs, (6..70).collect::<Vec<u64>>());
+        assert!(FlightTail::new(&[]).events().is_empty());
     }
 
     #[test]
     fn dump_mentions_every_retained_event() {
-        let mut f = FlightRecorder::new(2);
-        f.push(note(0, "first"));
-        f.push(note(1, "second"));
-        let d = f.dump();
-        assert!(d.contains("first") && d.contains("second"));
-        assert_eq!(d.lines().count(), 2);
+        let events: Vec<TraceEvent> = (0..=FLIGHT_TAIL_LEN as u64)
+            .map(|i| note(i, &format!("n{i}")))
+            .collect();
+        let d = FlightTail::new(&events).dump();
+        assert_eq!(d.lines().count(), FLIGHT_TAIL_LEN);
+        assert!(!d.lines().any(|l| l.ends_with("note: n0")));
+        assert_eq!(d.lines().next(), Some("#1     span 0    note: n1"));
+        assert_eq!(d.lines().last(), Some("#64    span 0    note: n64"));
     }
 }

@@ -12,8 +12,8 @@
 //!   completion-token histogram, and a dollar cost;
 //! * [`render_log`] recovers the legacy human-readable narration (every
 //!   `Note` event, verbatim);
-//! * [`FlightRecorder`] keeps a bounded ring of the most recent events
-//!   for post-mortem dumps after a failed run;
+//! * [`FlightTail`] shows the most recent events for post-mortem dumps
+//!   after a failed run;
 //! * [`merge_event_streams`] splices many per-run streams into one
 //!   fleet-level trace in run-id order (see `eclair-fleet`), refusing
 //!   structurally invalid input with a [`MergeError`];
@@ -39,7 +39,7 @@ pub use audit::{
     TokenTotals,
 };
 pub use event::{EventKind, GroundingOutcome, SpanKind, TraceEvent};
-pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{FlightTail, FLIGHT_TAIL_LEN};
 pub use merge::{merge_event_streams, merged_jsonl, MergeError};
 pub use recorder::{read_jsonl, render_log, SpanId, TraceRecorder};
 pub use summary::{PhaseStats, RunSummary, TokenHistogram, HIST_BOUNDS};

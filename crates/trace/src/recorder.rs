@@ -2,7 +2,7 @@
 //! increasing sequence numbers, and the whole run exports as JSONL.
 
 use crate::event::{EventKind, SpanKind, TraceEvent};
-use crate::flight::FlightRecorder;
+use crate::flight::FlightTail;
 use crate::summary::RunSummary;
 use crate::vclock::{CostKind, VirtualClock};
 
@@ -28,24 +28,15 @@ pub struct TraceRecorder {
     next_seq: u64,
     next_span: u64,
     stack: Vec<(u64, SpanKind)>,
-    flight: FlightRecorder,
     /// Simulated time for this run; every pushed event is stamped with
     /// its current reading.
     clock: VirtualClock,
 }
 
 impl TraceRecorder {
-    /// A fresh recorder with the default flight-recorder capacity.
+    /// A fresh recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh recorder whose flight recorder keeps `capacity` events.
-    pub fn with_flight_capacity(capacity: usize) -> Self {
-        TraceRecorder {
-            flight: FlightRecorder::new(capacity),
-            ..Self::default()
-        }
     }
 
     /// Open a span; events emitted until the matching [`close`] are
@@ -104,7 +95,6 @@ impl TraceRecorder {
             kind,
         };
         self.next_seq += 1;
-        self.flight.push(ev.clone());
         self.events.push(ev);
     }
 
@@ -151,9 +141,10 @@ impl TraceRecorder {
         render_log(&self.events)
     }
 
-    /// The bounded tail of recent events (read after failures).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    /// The last [`FLIGHT_TAIL_LEN`](crate::FLIGHT_TAIL_LEN) events the
+    /// recorder still holds (read after failures).
+    pub fn flight(&self) -> FlightTail<'_> {
+        FlightTail::new(&self.events)
     }
 
     /// Serialize the whole trace as JSON Lines (one event per line).
@@ -175,7 +166,7 @@ impl TraceRecorder {
     /// at virtual time zero but keeps its `(seed, run_id)` identity.
     pub fn reset(&mut self) {
         let clock = VirtualClock::new(self.clock.seed(), self.clock.run_id());
-        *self = TraceRecorder::with_flight_capacity(self.flight.capacity());
+        *self = TraceRecorder::default();
         self.clock = clock;
     }
 }
@@ -384,6 +375,22 @@ mod tests {
         assert_eq!(back, t.events());
         let legacy = r#"{"seq":0,"parent":0,"kind":{"Note":{"text":"old"}}}"#;
         assert_eq!(read_jsonl(legacy).unwrap()[0].vt, 0);
+    }
+
+    #[test]
+    fn flight_tail_covers_only_held_events() {
+        let mut t = TraceRecorder::new();
+        for i in 0..70 {
+            t.note(format!("n{i}"));
+        }
+        let tail = t.flight();
+        assert_eq!(tail.events().len(), crate::FLIGHT_TAIL_LEN);
+        assert_eq!(tail.events()[0].seq, 6);
+        assert_eq!(tail.events(), &t.events()[6..]);
+        t.take_events();
+        assert!(t.flight().events().is_empty());
+        t.note("after");
+        assert_eq!(t.flight().events().len(), 1);
     }
 
     #[test]
