@@ -1,10 +1,9 @@
-//! Micro-benchmarks for the arena-backed GUI core: interning, slot
-//! insert/remove/reuse, child-vector push, dirty-subtree relayout vs a
-//! full walk, and the memoized frame hash — the primitives the
-//! `perf_bench` macro numbers decompose into.
+//! Micro-benchmarks for the GUI core: interning, page build, a full
+//! (cache-served) relayout, and the memoized frame hash — the primitives
+//! the `perf_bench` macro numbers decompose into.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eclair_gui::{intern, PageBuilder, SlotArena, Widget, WidgetKind};
+use eclair_gui::{intern, PageBuilder};
 use std::hint::black_box;
 
 fn busy_page() -> eclair_gui::Page {
@@ -31,14 +30,6 @@ fn bench_gui_core(c: &mut Criterion) {
         let z = intern("gui-core-compare-b");
         b.iter(|| black_box(a == z))
     });
-    c.bench_function("gui_core/arena_insert_remove_reuse", |b| {
-        let mut arena: SlotArena<Widget> = SlotArena::new();
-        b.iter(|| {
-            let id = arena.insert(Widget::new(WidgetKind::Button));
-            arena.remove(id, Widget::new(WidgetKind::Root));
-            black_box(arena.slot_count())
-        })
-    });
     c.bench_function("gui_core/page_build", |b| {
         b.iter(|| black_box(busy_page().content_height))
     });
@@ -46,17 +37,6 @@ fn bench_gui_core(c: &mut Criterion) {
         let mut p = busy_page();
         b.iter(|| {
             p.relayout();
-            black_box(p.content_height)
-        })
-    });
-    c.bench_function("gui_core/relayout_incremental_one_dirty", |b| {
-        let mut p = busy_page();
-        let id = p.find_by_name("b5").unwrap();
-        let mut tick = 0u32;
-        b.iter(|| {
-            tick += 1;
-            p.get_mut(id).label = format!("Action {}", tick % 7).into();
-            p.relayout_incremental();
             black_box(p.content_height)
         })
     });

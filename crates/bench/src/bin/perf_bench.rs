@@ -35,14 +35,11 @@ struct LegJson {
     frame_cache_hit_rate: f64,
     relayouts_avoided: u64,
     relayouts_full: u64,
-    relayouts_partial: u64,
-    dirty_nodes_visited: u64,
     layout_cache_hits: u64,
     intern_hits: u64,
     intern_misses: u64,
     /// High-water table size (gauge): distinct strings alive at leg end.
     intern_table_size: u64,
-    arena_slots_reused: u64,
     perceive_memo_hits: u64,
     perceive_memo_misses: u64,
     perceive_memo_rate: f64,
@@ -168,13 +165,10 @@ fn leg_json(l: &Leg, cache_enabled: bool) -> LegJson {
         frame_cache_hit_rate: c.frame_cache_hit_rate(),
         relayouts_avoided: c.relayouts_avoided,
         relayouts_full: c.relayouts_full,
-        relayouts_partial: c.relayouts_partial,
-        dirty_nodes_visited: c.dirty_nodes_visited,
         layout_cache_hits: c.layout_cache_hits,
         intern_hits: c.intern_hits,
         intern_misses: c.intern_misses,
         intern_table_size: c.intern_table_size,
-        arena_slots_reused: c.arena_slots_reused,
         perceive_memo_hits: c.perceive_memo_hits,
         perceive_memo_misses: c.perceive_memo_misses,
         perceive_memo_rate: c.perceive_memo_rate(),
@@ -242,13 +236,8 @@ fn main() {
         c.cached_tokens,
     );
     println!(
-        "layout   : {} full walks, {} cache replays, {} partial ({} dirty nodes), {} slots reused, {} interned strings",
-        c.relayouts_full,
-        c.layout_cache_hits,
-        c.relayouts_partial,
-        c.dirty_nodes_visited,
-        c.arena_slots_reused,
-        c.intern_table_size,
+        "layout   : {} full walks, {} cache replays, {} interned strings",
+        c.relayouts_full, c.layout_cache_hits, c.intern_table_size,
     );
     println!(
         "cache off: {:.1} ms (every frame rendered, every percept recomputed)",
@@ -315,9 +304,9 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Arena gate: with the layout cache and dirty-subtree relayout in
-    // place, full walks must stay at ≤1/5 of the pre-arena counts
-    // (fast suite walked 138 times, full suite 457).
+    // Layout gate: with the global layout cache in place, full walks must
+    // stay at ≤1/5 of the counts before it (fast suite walked 138 times,
+    // full suite 457).
     let full_ceiling = if fast_mode() { 27 } else { 91 };
     if artifact.cache_on.relayouts_full > full_ceiling {
         eprintln!(

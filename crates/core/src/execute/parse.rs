@@ -73,8 +73,18 @@ fn first_quoted(text: &str, quote: char) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
+/// Byte offset of the first match of the lowercase ASCII `needle` in
+/// `text`, ignoring ASCII case. The offset indexes `text` itself (not a
+/// lowercased copy, whose byte offsets can differ), and a match of an
+/// ASCII needle always starts and ends on a char boundary.
+fn find_ascii(text: &str, needle: &str) -> Option<usize> {
+    text.as_bytes()
+        .windows(needle.len())
+        .position(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+}
+
 fn after_keyword<'a>(text: &'a str, kw: &str) -> Option<&'a str> {
-    let pos = text.to_lowercase().find(kw)?;
+    let pos = find_ascii(text, kw)?;
     Some(text[pos + kw.len()..].trim())
 }
 
@@ -89,7 +99,7 @@ fn field_phrase(text: &str) -> Option<String> {
     // "... into the X field" / "... in the X field" / "the X field ..."
     for kw in ["into the ", "in the ", "the "] {
         if let Some(rest) = after_keyword(text, kw) {
-            if let Some(end) = rest.to_lowercase().find(" field") {
+            if let Some(end) = find_ascii(rest, " field") {
                 let cand = rest[..end].trim();
                 if !cand.is_empty() && cand.len() < 60 {
                     return Some(cand.to_string());
@@ -315,6 +325,133 @@ mod tests {
             Some("Save".into())
         );
         assert_eq!(parse_step("Press Enter").grounding_query(), None);
+    }
+
+    #[test]
+    fn non_ascii_text_is_sliced_where_it_matched() {
+        // Lowercasing `İ` and `Ⱥ` lengthens them: an offset found in a
+        // lowercased copy would slice the original out of bounds.
+        assert_eq!(
+            parse_step("Type \"x\" into the İİİİİİİ field"),
+            StepIntent::Type {
+                value: "x".into(),
+                field: Some("İİİİİİİ".into())
+            }
+        );
+        assert_eq!(
+            parse_step("Select 'a' ȺȺȺȺȺȺȺȺȺȺȺ from the X dropdown"),
+            StepIntent::Select {
+                option: "a".into(),
+                field: "X".into()
+            }
+        );
+        assert_eq!(
+            parse_step("Type the ȺȺȺȺȺȺȺȺ value into the Name field"),
+            StepIntent::Type {
+                value: "the ȺȺȺȺȺȺȺȺ value".into(),
+                field: Some("Name".into())
+            }
+        );
+        assert_eq!(
+            parse_step("Set the ȺȺȺȺȺȺȺ field to \"v\""),
+            StepIntent::Set {
+                field: "ȺȺȺȺȺȺȺ".into(),
+                value: "v".into()
+            }
+        );
+    }
+
+    /// The grammar's keywords, step and SOP framing, and chars whose
+    /// lowercase differs in length or lands in ASCII.
+    const PIECES: &[&str] = &[
+        "Type ",
+        "type ",
+        "Enter ",
+        "Set ",
+        "Select ",
+        "Choose ",
+        "Click ",
+        "click at (",
+        "Check ",
+        "check ",
+        "Press ",
+        "Scroll ",
+        "Open ",
+        "into the ",
+        "INTO THE ",
+        "in the ",
+        "the ",
+        "The ",
+        " field",
+        " FIELD",
+        "field at (",
+        "from the ",
+        " dropdown",
+        " drop-down",
+        " checkbox",
+        " to ",
+        "'",
+        "\"",
+        "(",
+        ")",
+        ",",
+        "12",
+        "-3",
+        ".",
+        " ",
+        "1. ",
+        "2) ",
+        "- ",
+        "SOP:",
+        "[HUMAN]",
+        "\n",
+        "enter",
+        "escape",
+        "tab",
+        "up",
+        "İ",
+        "İİİ",
+        "Ⱥ",
+        "ȺȺȺ",
+        "\u{212A}",
+        "ẞ",
+        "ΑΣ",
+        "e\u{301}",
+        "🚀",
+        "—",
+        "",
+    ];
+
+    fn splice(parts: Vec<(usize, u32)>) -> String {
+        let mut out = String::new();
+        for (k, cp) in parts {
+            match PIECES.get(k) {
+                Some(p) => out.push_str(p),
+                None => out.push(char::from_u32(cp).unwrap_or('\u{FFFD}')),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parsers_never_panic_on_spliced_unicode(
+            lines in proptest::collection::vec(
+                proptest::collection::vec((0usize..PIECES.len() + 4, 0u32..0x11_0000), 0..12),
+                1..8,
+            ),
+        ) {
+            let lines: Vec<String> = lines.into_iter().map(splice).collect();
+            for line in &lines {
+                if let StepIntent::Unknown(t) = parse_step(line) {
+                    proptest::prop_assert_eq!(&t, line);
+                }
+            }
+            let sop = eclair_workflow::Sop::parse(&lines.join("\n"));
+            for step in &sop.steps {
+                parse_step(&step.text);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The seeded corpus expander.
 //!
-//! `generate(master_seed)` compiles every registered [`TaskTemplate`]
+//! `generate(master_seed)` compiles every registered [`crate::TaskTemplate`]
 //! into its sampled task family and prepends the 30 handwritten tasks,
 //! producing a [`Corpus`]: the task list plus a byte-reproducible
 //! manifest. Generation is a *pure function of the seed* — same seed,

@@ -15,7 +15,7 @@
 //!   [`template::Blueprint`];
 //! * [`templates`] — the registry: task families for gitlab, magento,
 //!   erp, payer, and the new EHR surface;
-//! * [`generate`] — the seeded expander: [`generate::generate`] is a
+//! * [`mod@generate`] — the seeded expander: [`generate::generate`] is a
 //!   pure function of the master seed with collision-free ids and a
 //!   byte-reproducible [`manifest::CorpusManifest`];
 //! * [`rng`] — SplitMix64, FNV-1a, and seeded index sampling.

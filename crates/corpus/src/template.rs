@@ -5,7 +5,7 @@
 //! and a builder that turns one resolved [`Params`] point into a
 //! [`Blueprint`] — the intent, gold action trace, reference SOP, and
 //! success predicate the paper's evaluation needs per task. The seeded
-//! expander in [`crate::generate`] samples points from the space and
+//! expander in [`crate::generate()`] samples points from the space and
 //! compiles each into a concrete `TaskSpec`, self-verifying the gold
 //! trace as it goes.
 

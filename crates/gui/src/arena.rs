@@ -1,203 +1,8 @@
-//! Generational slot arena for long-lived widget nodes, plus a SmallVec
-//! style child list with inline storage.
-//!
-//! The arena keeps its values in one dense `Vec<T>` so the layout engine
-//! and the renderer can keep borrowing a plain `&[T]` slice and indexing by
-//! slot — vacated slots hold an inert tombstone value rather than punching
-//! holes in the storage. Occupancy is tracked by generation parity (odd =
-//! occupied, even = vacant), so a [`NodeId`] captured before a removal can
-//! never resolve again: removal bumps the slot's generation, and every
-//! lookup checks it.
+//! A widget's child list: a SmallVec-style vector with inline storage.
 
 use serde::{Deserialize, Serialize, Value};
 
-use eclair_trace::perf;
-
 use crate::widget::WidgetId;
-
-/// A generational key into a [`SlotArena`]: slot index plus the generation
-/// the slot had when this key was handed out. Stale keys (the slot was
-/// since vacated, or vacated and reused) fail the generation check and
-/// resolve to `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId {
-    slot: u32,
-    gen: u32,
-}
-
-impl NodeId {
-    /// The slot index this key addresses.
-    pub fn slot(self) -> u32 {
-        self.slot
-    }
-
-    /// The generation this key was minted with.
-    pub fn gen(self) -> u32 {
-        self.gen
-    }
-
-    /// The slot as a plain dense-storage index (the pre-arena id type).
-    pub fn widget_id(self) -> WidgetId {
-        WidgetId(self.slot)
-    }
-}
-
-/// Dense generational arena. Slot `i` of [`data`](Self::data) holds either
-/// the live value inserted there or the tombstone left by its removal;
-/// `gens[i]` parity says which.
-#[derive(Debug, Clone)]
-pub struct SlotArena<T> {
-    data: Vec<T>,
-    /// Per-slot generation; odd = occupied, even = vacant. A fresh insert
-    /// into slot `i` bumps `gens[i]` from even to odd, a removal from odd
-    /// to even — so a key's generation matches at most one occupancy span.
-    gens: Vec<u32>,
-    /// Vacant slots available for reuse, most recently vacated last.
-    free: Vec<u32>,
-}
-
-impl<T> Default for SlotArena<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> SlotArena<T> {
-    pub fn new() -> Self {
-        Self {
-            data: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Number of slots (live + tombstoned). This is the length of the
-    /// dense slice views.
-    pub fn slot_count(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Number of live values.
-    pub fn live_count(&self) -> usize {
-        self.data.len() - self.free.len()
-    }
-
-    /// Insert a value, reusing the most recently vacated slot if one
-    /// exists (generation bumped so stale keys stay stale).
-    pub fn insert(&mut self, value: T) -> NodeId {
-        if let Some(slot) = self.free.pop() {
-            let i = slot as usize;
-            self.data[i] = value;
-            self.gens[i] += 1; // even -> odd: occupied again
-            perf::record(|c| c.arena_slots_reused += 1);
-            NodeId {
-                slot,
-                gen: self.gens[i],
-            }
-        } else {
-            let slot = u32::try_from(self.data.len()).expect("arena overflow");
-            self.data.push(value);
-            self.gens.push(1); // first occupancy
-            NodeId { slot, gen: 1 }
-        }
-    }
-
-    /// Remove the value `id` points at, leaving `tombstone` in the slot
-    /// and freeing it for reuse. Returns the removed value, or `None` if
-    /// `id` is stale.
-    pub fn remove(&mut self, id: NodeId, tombstone: T) -> Option<T> {
-        if !self.contains(id) {
-            return None;
-        }
-        let i = id.slot as usize;
-        self.gens[i] += 1; // odd -> even: vacant
-        self.free.push(id.slot);
-        Some(std::mem::replace(&mut self.data[i], tombstone))
-    }
-
-    /// Whether `id` still resolves (slot occupied at the same generation).
-    pub fn contains(&self, id: NodeId) -> bool {
-        let i = id.slot as usize;
-        i < self.gens.len() && self.gens[i] == id.gen && self.gens[i] % 2 == 1
-    }
-
-    /// Resolve a generational key.
-    pub fn get(&self, id: NodeId) -> Option<&T> {
-        if self.contains(id) {
-            Some(&self.data[id.slot as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Resolve a generational key mutably.
-    pub fn get_mut(&mut self, id: NodeId) -> Option<&mut T> {
-        if self.contains(id) {
-            Some(&mut self.data[id.slot as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Whether the slot at `slot` is currently occupied.
-    pub fn slot_occupied(&self, slot: u32) -> bool {
-        (slot as usize) < self.gens.len() && self.gens[slot as usize] % 2 == 1
-    }
-
-    /// The current generational key for an occupied slot.
-    pub fn id_at_slot(&self, slot: u32) -> Option<NodeId> {
-        if self.slot_occupied(slot) {
-            Some(NodeId {
-                slot,
-                gen: self.gens[slot as usize],
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Dense view over all slots, tombstones included. Callers that must
-    /// skip tombstones pair this with [`slot_occupied`](Self::slot_occupied).
-    pub fn data(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable dense view over all slots, tombstones included.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Iterate live `(slot, &value)` pairs in slot order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.gens[*i] % 2 == 1)
-            .map(|(i, v)| (i as u32, v))
-    }
-}
-
-// Pages serialize as a plain widget list (the pre-arena JSON shape).
-// Deserialization treats every slot as occupied with no free list; any
-// serialized tombstones come back as unreachable-but-live junk, which no
-// root-walking consumer can observe.
-impl<T: Serialize> Serialize for SlotArena<T> {
-    fn to_value(&self) -> Value {
-        self.data.to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for SlotArena<T> {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let data = Vec::<T>::from_value(v)?;
-        let gens = vec![1u32; data.len()];
-        Ok(Self {
-            data,
-            gens,
-            free: Vec::new(),
-        })
-    }
-}
 
 /// Inline capacity of [`ChildVec`]: child lists up to this long live inside
 /// the widget itself, no heap allocation.
@@ -390,54 +195,6 @@ impl Deserialize for ChildVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_get_remove_round_trip() {
-        let mut a = SlotArena::new();
-        let id = a.insert("alpha");
-        assert_eq!(a.get(id), Some(&"alpha"));
-        assert_eq!(a.live_count(), 1);
-        assert_eq!(a.remove(id, ""), Some("alpha"));
-        assert_eq!(a.get(id), None);
-        assert_eq!(a.live_count(), 0);
-        assert_eq!(a.slot_count(), 1, "tombstone keeps the slot");
-    }
-
-    #[test]
-    fn stale_id_never_resolves_after_reuse() {
-        let mut a = SlotArena::new();
-        let first = a.insert("first");
-        a.remove(first, "");
-        let second = a.insert("second");
-        assert_eq!(second.slot(), first.slot(), "slot is reused");
-        assert_ne!(second.gen(), first.gen());
-        assert_eq!(a.get(first), None, "stale key must not see the new value");
-        assert_eq!(a.get(second), Some(&"second"));
-        assert!(!a.contains(first));
-    }
-
-    #[test]
-    fn double_remove_is_a_no_op() {
-        let mut a = SlotArena::new();
-        let id = a.insert(1);
-        assert_eq!(a.remove(id, 0), Some(1));
-        assert_eq!(a.remove(id, 0), None);
-        assert_eq!(a.free.len(), 1, "slot freed exactly once");
-    }
-
-    #[test]
-    fn dense_view_keeps_slot_indexing() {
-        let mut a = SlotArena::new();
-        let x = a.insert(10);
-        let y = a.insert(20);
-        a.remove(x, 0);
-        assert_eq!(a.data().len(), 2);
-        assert_eq!(a.data()[y.slot() as usize], 20);
-        assert!(!a.slot_occupied(x.slot()));
-        assert!(a.slot_occupied(y.slot()));
-        let live: Vec<_> = a.iter_live().collect();
-        assert_eq!(live, vec![(y.slot(), &20)]);
-    }
 
     #[test]
     fn child_vec_spills_past_inline_capacity() {

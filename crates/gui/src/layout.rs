@@ -1,4 +1,4 @@
-//! A single-pass flow layout engine with an incremental core.
+//! A single-pass flow layout engine.
 //!
 //! Deliberately simple — vertical stacks, horizontal rows, intrinsic leaf
 //! sizes, fixed-width table cells, centered modal overlays — but it computes
@@ -8,7 +8,7 @@
 //! they move every subsequent widget, which is what breaks position-based
 //! RPA selectors.
 //!
-//! Three perf layers sit on top of the walk, none of which may change a
+//! Two perf layers sit on top of the walk, neither of which may change a
 //! single computed pixel:
 //!
 //! 1. **Scratch pooling** — per-walk allocations (child id stacks, the
@@ -23,10 +23,6 @@
 //!    as a real walk would leave them). Lookups compute inside the lock,
 //!    so each unique signature misses exactly once even under a
 //!    multi-worker fleet and the aggregate counters stay deterministic.
-//! 3. **Dirty-subtree relayout** — pages re-place only mutated nodes at
-//!    their recorded flow inputs, escalating to the parent only when a
-//!    node's measured box actually changed, and falling back to a full
-//!    (cached) walk when escalation reaches the root.
 //!
 //! `ECLAIR_NO_CACHE=1` bypasses the cache (checked per walk, so a harness
 //! can flip it between legs), and [`scoped_cache_off`] bypasses it for one
@@ -39,7 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use eclair_trace::perf;
 
 use crate::geometry::{Rect, Size};
-use crate::widget::{LayIn, Widget, WidgetId, WidgetKind};
+use crate::widget::{Widget, WidgetId, WidgetKind};
 
 /// Approximate glyph advance width in pixels for body text.
 pub const CHAR_W: u32 = 8;
@@ -79,7 +75,6 @@ struct Scratch {
 struct WriteEntry {
     slot: u32,
     bounds: Rect,
-    layin: LayIn,
 }
 
 thread_local! {
@@ -104,10 +99,10 @@ impl Drop for LayoutCacheOff {
     }
 }
 
-pub(crate) fn cache_bypassed() -> bool {
+fn cache_bypassed() -> bool {
     // Re-read the env every walk: perf_bench flips ECLAIR_NO_CACHE between
     // legs of one process.
-    std::env::var_os("ECLAIR_NO_CACHE").is_some() || CACHE_OFF_DEPTH.with(|d| d.get() > 0)
+    crate::session::no_cache_env() || CACHE_OFF_DEPTH.with(|d| d.get() > 0)
 }
 
 struct CacheEntry {
@@ -163,7 +158,7 @@ fn layout_sig(widgets: &[Widget], root: WidgetId) -> u64 {
     h
 }
 
-/// Lay out the arena starting at `root`; fills every widget's `bounds` in
+/// Lay out the widgets from `root`; fills every widget's `bounds` in
 /// page coordinates and returns the total content height.
 ///
 /// Served from the global layout cache when an identical walk already ran
@@ -186,9 +181,7 @@ pub fn layout_page(widgets: &mut [Widget], root: WidgetId) -> u32 {
     if let Some(entry) = cache.get(&sig).cloned() {
         drop(cache);
         for e in &entry.writes {
-            let w = &mut widgets[e.slot as usize];
-            w.bounds = e.bounds;
-            w.layin = e.layin;
+            widgets[e.slot as usize].bounds = e.bounds;
         }
         perf::record(|c| c.layout_cache_hits += 1);
         return entry.content_height;
@@ -214,117 +207,6 @@ pub fn layout_page(widgets: &mut [Widget], root: WidgetId) -> u32 {
     });
     perf::record(|c| c.relayouts_full += 1);
     h
-}
-
-/// The outcome of a dirty-subtree pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PartialOutcome {
-    /// All dirty nodes re-placed in place; no ancestor box changed, so the
-    /// rest of the page (and the content height) is untouched.
-    Done,
-    /// Escalation reached the root: the caller must run a full
-    /// [`layout_page`] walk.
-    NeedsFull,
-}
-
-/// Re-place only the dirty slots (and any ancestors whose measured box
-/// changed), leaving every other widget's bounds byte-identical to what a
-/// full walk would produce. `toasts_dirty` forces the floating toast stack
-/// to be restacked (set when a toast was removed from the tree).
-pub(crate) fn relayout_dirty(
-    widgets: &mut [Widget],
-    dirty: &[u32],
-    toasts_dirty: bool,
-) -> PartialOutcome {
-    let mut visited = 0u64;
-    let mut did_work = false;
-    let mut restack_toasts = toasts_dirty;
-    let mut outcome = PartialOutcome::Done;
-    SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        'next: for &slot in dirty {
-            // An enclosing dirty node will re-place this subtree anyway.
-            let mut p = widgets[slot as usize].parent;
-            while let Some(pid) = p {
-                if dirty.contains(&pid.0) {
-                    continue 'next;
-                }
-                p = widgets[pid.index()].parent;
-            }
-            // Nodes inside an invisible subtree are unreachable by a full
-            // walk; it would leave their bounds untouched, so we must too.
-            let mut p = widgets[slot as usize].parent;
-            while let Some(pid) = p {
-                let pw = &widgets[pid.index()];
-                if !pw.visible {
-                    continue 'next;
-                }
-                p = pw.parent;
-            }
-            let mut cur = slot;
-            loop {
-                let w = &widgets[cur as usize];
-                if w.parent.is_none() {
-                    // Re-placing the root is a full walk; route it through
-                    // the cached path instead.
-                    outcome = PartialOutcome::NeedsFull;
-                    return;
-                }
-                match w.kind {
-                    WidgetKind::Toast => {
-                        // Toast geometry depends on the whole stack.
-                        restack_toasts = true;
-                        continue 'next;
-                    }
-                    // A hidden modal is skipped by both the flow and the
-                    // overlay pass; a full walk leaves its bounds stale.
-                    WidgetKind::Modal if !w.visible => continue 'next,
-                    _ => {}
-                }
-                let layin = w.layin;
-                let parent = w.parent;
-                if !layin.valid {
-                    // Never placed (fresh insert): the parent's flow must
-                    // position it.
-                    cur = parent.expect("checked above").0;
-                    continue;
-                }
-                let old = w.bounds;
-                let overlay = w.kind == WidgetKind::Modal;
-                let size = place(
-                    widgets,
-                    scratch,
-                    WidgetId(cur),
-                    layin.x,
-                    layin.y,
-                    layin.avail_w,
-                );
-                visited += 1;
-                did_work = true;
-                // Modals are out of flow: their box never displaces
-                // siblings, so a size change stops here.
-                if overlay || (size.w == old.w && size.h == old.h) {
-                    break;
-                }
-                cur = parent.expect("checked above").0;
-            }
-        }
-        if restack_toasts {
-            place_toasts(widgets, scratch);
-            did_work = true;
-        }
-        scratch.kids.clear();
-        scratch.log.clear();
-    });
-    if outcome == PartialOutcome::Done {
-        perf::record(|c| {
-            if did_work {
-                c.relayouts_partial += 1;
-            }
-            c.dirty_nodes_visited += visited;
-        });
-    }
-    outcome
 }
 
 /// The uncached full walk: flow pass from the root, then the modal and
@@ -372,39 +254,16 @@ fn place_toasts(widgets: &mut [Widget], scratch: &mut Scratch) {
         let t = scratch.kids[i];
         let size = leaf_size(&widgets[t.index()], 480);
         let x = PAGE_W as i32 - size.w as i32 - 24;
-        set_bounds(
-            widgets,
-            scratch,
-            t.0,
-            Rect::new(x, toast_y, size.w, size.h),
-            LayIn {
-                x,
-                y: toast_y,
-                avail_w: 480,
-                valid: true,
-            },
-        );
+        set_bounds(widgets, scratch, t.0, Rect::new(x, toast_y, size.w, size.h));
         toast_y += size.h as i32 + 8;
     }
     scratch.kids.truncate(start);
 }
 
 #[inline]
-fn set_bounds(
-    widgets: &mut [Widget],
-    scratch: &mut Scratch,
-    slot: u32,
-    bounds: Rect,
-    layin: LayIn,
-) {
-    let w = &mut widgets[slot as usize];
-    w.bounds = bounds;
-    w.layin = layin;
-    scratch.log.push(WriteEntry {
-        slot,
-        bounds,
-        layin,
-    });
+fn set_bounds(widgets: &mut [Widget], scratch: &mut Scratch, slot: u32, bounds: Rect) {
+    widgets[slot as usize].bounds = bounds;
+    scratch.log.push(WriteEntry { slot, bounds });
 }
 
 /// Recursively place `id` at (x, y) with `avail_w` of horizontal room.
@@ -421,14 +280,8 @@ fn place(
         let w = &widgets[id.index()];
         (w.kind, w.visible, w.fixed_w, !w.children.is_empty())
     };
-    let layin = LayIn {
-        x,
-        y,
-        avail_w,
-        valid: true,
-    };
     if !visible {
-        set_bounds(widgets, scratch, id.0, Rect::new(x, y, 0, 0), layin);
+        set_bounds(widgets, scratch, id.0, Rect::new(x, y, 0, 0));
         return Size::new(0, 0);
     }
     // A pinned width constrains the widget and everything inside it.
@@ -440,13 +293,7 @@ fn place(
     } else {
         leaf_size(&widgets[id.index()], avail_w)
     };
-    set_bounds(
-        widgets,
-        scratch,
-        id.0,
-        Rect::new(x, y, size.w, size.h),
-        layin,
-    );
+    set_bounds(widgets, scratch, id.0, Rect::new(x, y, size.w, size.h));
     size
 }
 
@@ -487,20 +334,7 @@ fn place_container(
             continue; // the overlay pass places modals and toasts
         }
         if !widgets[child.index()].visible {
-            set_bounds(
-                widgets,
-                scratch,
-                child.0,
-                Rect::new(cx, cy, 0, 0),
-                // Not a real placement: un-hiding must escalate to this
-                // container, which knows the true flow position.
-                LayIn {
-                    x: cx,
-                    y: cy,
-                    avail_w: 0,
-                    valid: false,
-                },
-            );
+            set_bounds(widgets, scratch, child.0, Rect::new(cx, cy, 0, 0));
             continue;
         }
         if horizontal {

@@ -40,7 +40,7 @@ pub mod theme;
 pub mod tree;
 pub mod widget;
 
-pub use arena::{ChildVec, NodeId, SlotArena};
+pub use arena::ChildVec;
 pub use event::{Key, SemanticEvent, UserEvent};
 pub use geometry::{Point, Rect, Size, SizeBucket};
 pub use intern::{intern, Sym};

@@ -15,7 +15,7 @@ use crate::VIEWPORT;
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, incremental relayout, and perception memoization
+/// off the frame cache, the layout cache, and perception memoization
 /// everywhere. The cache-transparency invariant says flipping this must
 /// not change a single serialized byte.
 pub fn no_cache_env() -> bool {
@@ -98,9 +98,10 @@ pub struct Session {
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
     edited: std::collections::HashSet<crate::intern::Sym>,
-    /// Whether the frame cache and incremental relayout are on. Defaults
-    /// to `!no_cache_env()`; flipping it must be unobservable in any
-    /// serialized artifact (the transparency invariant).
+    /// Whether the frame cache, the identical-rebuild skip and the layout
+    /// cache are on. Defaults to `!no_cache_env()`; flipping it must be
+    /// unobservable in any serialized artifact (the transparency
+    /// invariant).
     cache_enabled: bool,
     /// Bumped every time the live page is mutated in place or replaced.
     /// Scroll-only dispatches leave it alone — the dirty-tracking signal
@@ -192,8 +193,9 @@ impl Session {
         (self.page.content_height as i32 - VIEWPORT.h as i32).max(0)
     }
 
-    /// Turn the frame cache and incremental relayout on or off for this
-    /// session (the `ECLAIR_NO_CACHE=1` path, and per-run toggles).
+    /// Turn the frame cache, the identical-rebuild skip and the layout
+    /// cache on or off for this session (the `ECLAIR_NO_CACHE=1` path,
+    /// and per-run toggles).
     pub fn set_cache_enabled(&mut self, on: bool) {
         if self.cache_enabled != on {
             self.cache_enabled = on;
@@ -202,7 +204,7 @@ impl Session {
         }
     }
 
-    /// Whether the frame cache and incremental relayout are on.
+    /// Whether the session's caches are on.
     pub fn cache_enabled(&self) -> bool {
         self.cache_enabled
     }
@@ -241,7 +243,7 @@ impl Session {
         let fresh = self.app.build();
         let sig = page_structural_sig(&fresh);
         if self.cache_enabled && !url_changed && self.build_sig == Some(sig) {
-            // Incremental relayout: the app re-rendered a structurally
+            // Skip the rebuild: the app re-rendered a structurally
             // identical screen and the live page has no local mutations a
             // transplant would need to reconcile (`build_sig` is `Some`),
             // so layout, theming, and transplanting would reproduce the
@@ -524,12 +526,9 @@ impl Session {
                     self.after_app_event();
                 } else {
                     // App does not track it; excise the subtree locally.
-                    // Removal (not hiding) vacates the arena slots, so the
-                    // next injected popup reuses them instead of growing
-                    // the arena for the life of the page.
                     let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
                     self.page.remove_subtree(id);
-                    self.page.relayout_incremental();
+                    self.page.relayout();
                     self.touch_page();
                 }
                 (Some((name, label)), EffectKind::Dismissed)
@@ -969,8 +968,8 @@ mod tests {
     }
 
     /// App whose `tick` always requests a rebuild but whose screen never
-    /// changes — the pattern (polling re-render) incremental relayout
-    /// exists for.
+    /// changes — the pattern (polling re-render) the identical-rebuild
+    /// skip exists for.
     struct SteadyApp;
     impl GuiApp for SteadyApp {
         fn name(&self) -> &str {
@@ -1255,5 +1254,71 @@ mod tests {
             c.frame_cache_invalidations, 0,
             "eviction is not invalidation"
         );
+    }
+
+    /// App whose screen carries a toast it does not track: `Dismissed` is
+    /// ignored, so Escape must excise the toast from the live page.
+    struct ToastApp {
+        archived_toast: bool,
+    }
+    impl GuiApp for ToastApp {
+        fn name(&self) -> &str {
+            "toast"
+        }
+        fn url(&self) -> String {
+            "/inbox".into()
+        }
+        fn build(&self) -> Page {
+            let mut b = PageBuilder::new("Inbox", "/inbox");
+            b.heading(1, "Inbox");
+            if self.archived_toast {
+                b.toast("Message archived");
+            }
+            let mut sync = crate::widget::Widget::new(WidgetKind::Toast);
+            sync.name = "sync".into();
+            sync.label = "Sync complete".into();
+            b.push(sync);
+            b.form("search", |b| {
+                b.text_input("q", "Query", "search mail");
+                b.button("go", "Go");
+            });
+            b.row(|b| {
+                b.link("prev", "Previous");
+                b.link("next", "Next");
+            });
+            b.finish()
+        }
+        fn on_event(&mut self, _: SemanticEvent) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn escape_excises_an_untracked_toast_locally() {
+        let mut s = Session::new(Box::new(ToastApp {
+            archived_toast: true,
+        }));
+        assert!(s.screenshot().contains_text("Message archived"));
+        let d = s.dispatch(UserEvent::Press(Key::Escape));
+        assert_eq!(d.effect, EffectKind::Dismissed);
+        assert!(!s.screenshot().contains_text("Message archived"));
+        assert!(s.screenshot().contains_text("Sync complete"));
+        // The page looks as if it had been built without the toast: the
+        // remaining toast restacks to the top, nothing else moves.
+        let fresh = ToastApp {
+            archived_toast: false,
+        }
+        .build();
+        for w in fresh.iter().filter(|w| !w.name.is_empty()) {
+            let id = s.page().find_by_name(&w.name).unwrap();
+            assert_eq!(s.page().get(id).bounds, w.bounds, "{}", w.name);
+        }
+        assert_eq!(s.page().content_height, fresh.content_height);
+        // The remaining toast is the next Escape's target; then nothing.
+        let d = s.dispatch(UserEvent::Press(Key::Escape));
+        assert_eq!(d.effect, EffectKind::Dismissed);
+        assert!(!s.screenshot().contains_text("Sync complete"));
+        let d = s.dispatch(UserEvent::Press(Key::Escape));
+        assert_eq!(d.effect, EffectKind::NoOp);
     }
 }

@@ -70,10 +70,7 @@ impl Theme {
         for op in &self.ops {
             apply_op(page, op);
         }
-        // Drift touches a handful of nodes on an already-laid-out page:
-        // let the dirty-subtree pass re-place just those (falling back to a
-        // full walk when a structural op like InsertBanner dirties the root).
-        page.relayout_incremental();
+        page.relayout();
     }
 }
 

@@ -1,92 +1,47 @@
-//! The page arena and its builder DSL.
+//! The page and its builder DSL.
 //!
-//! A [`Page`] stores widgets in a generational [`SlotArena`]: a dense slot
-//! vector (cheap to clone for screenshot snapshots, friendly to the borrow
-//! checker, and directly sliceable for the layout engine) whose vacated
-//! slots are reused under a bumped generation, so a stale [`NodeId`] can
-//! never resolve against a widget that replaced the one it named. Plain
-//! [`WidgetId`]s remain the positional address (slot index) used across
-//! the codebase; `NodeId` adds the generation check for holders that can
-//! outlive a removal.
+//! A [`Page`] stores widgets in one append-only `Vec` indexed by
+//! [`WidgetId`]: cheap to clone for screenshot snapshots, friendly to the
+//! borrow checker, and directly sliceable for the layout engine. Apps
+//! rebuild their page from scratch after every event, so nothing is ever
+//! compacted or reused: widgets added to a built page (drift banners,
+//! injected popups) are appended, and [`Page::remove_subtree`] leaves
+//! inert tombstones behind.
 //!
 //! [`PageBuilder`] is the DSL the simulated sites use to describe screens;
 //! `finish()` runs the layout engine so every widget has pixel bounds.
-//! Mutations route through [`Page::get_mut`], which marks the widget's
-//! slot dirty; [`Page::relayout_incremental`] then re-places only the
-//! dirty subtree (falling back to a full — usually cache-served — walk
-//! when a box change escalates to the root).
+//! After any geometry change, [`Page::relayout`] re-runs the full walk,
+//! which the global layout cache usually replays.
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{NodeId, SlotArena};
 use crate::geometry::Point;
 use crate::intern::Sym;
-use crate::layout::{self, PartialOutcome};
+use crate::layout;
 use crate::widget::{Widget, WidgetId, WidgetKind};
 
-/// A fully built screen: widget arena + metadata + computed layout.
-#[derive(Debug, Clone)]
+/// A fully built screen: widgets + metadata + computed layout.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Page {
     /// Window / document title.
     pub title: String,
     /// The route this page renders (e.g. `/gitlab/project/3/issues/new`).
     pub url: String,
-    widgets: SlotArena<Widget>,
+    widgets: Vec<Widget>,
     root: WidgetId,
     /// Total laid-out content height in pixels (may exceed the viewport).
     pub content_height: u32,
-    /// Slots mutated since the last relayout (deduplicated, tiny).
-    dirty: Vec<u32>,
-    /// Set when a toast left the tree: the floating stack must restack
-    /// even though no surviving widget is dirty.
-    toasts_dirty: bool,
-}
-
-// Manual serde impls (the vendored derive has no `skip`): identical to the
-// derive's field-order map, minus the transient dirty-tracking state. A
-// deserialized page starts clean — its bounds were serialized post-layout.
-impl Serialize for Page {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("title"), self.title.to_value()),
-            (String::from("url"), self.url.to_value()),
-            (String::from("widgets"), self.widgets.to_value()),
-            (String::from("root"), self.root.to_value()),
-            (
-                String::from("content_height"),
-                self.content_height.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Page {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(v.field(name))
-                .map_err(|e| serde::Error::custom(format!("Page.{name}: {e}")))
-        }
-        Ok(Page {
-            title: field(v, "title")?,
-            url: field(v, "url")?,
-            widgets: field(v, "widgets")?,
-            root: field(v, "root")?,
-            content_height: field(v, "content_height")?,
-            dirty: Vec::new(),
-            toasts_dirty: false,
-        })
-    }
 }
 
 impl Page {
-    /// Number of slots (including containers and any tombstoned slots).
+    /// Number of widgets (including containers and any tombstones).
     pub fn len(&self) -> usize {
-        self.widgets.slot_count()
+        self.widgets.len()
     }
 
     /// True when the page holds only its root.
     pub fn is_empty(&self) -> bool {
-        self.widgets.slot_count() <= 1
+        self.widgets.len() <= 1
     }
 
     /// The root widget id.
@@ -100,48 +55,24 @@ impl Page {
     /// Panics on a stale/foreign id — ids are only valid for the page that
     /// created them.
     pub fn get(&self, id: WidgetId) -> &Widget {
-        &self.widgets.data()[id.index()]
+        &self.widgets[id.index()]
     }
 
-    /// Mutably borrow a widget, marking its slot dirty for the next
-    /// incremental relayout. (Conservative: value-only writes dirty the
-    /// slot too; re-placing a node whose size did not change is cheap and
-    /// pixel-neutral.)
+    /// Mutably borrow a widget. Call [`Page::relayout`] after changing
+    /// anything layout reads.
     pub fn get_mut(&mut self, id: WidgetId) -> &mut Widget {
-        self.mark_dirty(id);
-        &mut self.widgets.data_mut()[id.index()]
+        &mut self.widgets[id.index()]
     }
 
-    /// The generational key currently naming `id`'s slot, if occupied.
-    pub fn node_id(&self, id: WidgetId) -> Option<NodeId> {
-        self.widgets.id_at_slot(id.0)
-    }
-
-    /// Resolve a generational key; `None` once the node was removed (even
-    /// if its slot has been reused by a newer widget).
-    pub fn resolve(&self, id: NodeId) -> Option<&Widget> {
-        self.widgets.get(id)
-    }
-
-    /// Mark a slot dirty without borrowing the widget.
-    pub fn mark_dirty(&mut self, id: WidgetId) {
-        if !self.dirty.contains(&id.0) {
-            self.dirty.push(id.0);
-        }
-    }
-
-    /// Iterate over all widgets in arena (pre-)order.
+    /// Iterate over all widgets in build (pre-)order.
     pub fn iter(&self) -> impl Iterator<Item = &Widget> {
-        self.widgets.data().iter()
+        self.widgets.iter()
     }
 
     /// Iterate over widgets that are visible *and* all of whose ancestors
     /// are visible.
     pub fn visible_iter(&self) -> impl Iterator<Item = &Widget> + '_ {
-        self.widgets
-            .data()
-            .iter()
-            .filter(move |w| self.is_shown(w.id))
+        self.widgets.iter().filter(move |w| self.is_shown(w.id))
     }
 
     /// Whether `id` and all its ancestors are visible.
@@ -160,7 +91,7 @@ impl Page {
     /// Depth-first paint order starting at the root: parents before
     /// children, siblings in child order, modals last (they overlay).
     pub fn paint_order(&self) -> Vec<WidgetId> {
-        let mut order = Vec::with_capacity(self.widgets.slot_count());
+        let mut order = Vec::with_capacity(self.widgets.len());
         let mut overlays = Vec::new();
         self.walk(self.root, &mut |w| {
             if w.kind == WidgetKind::Modal || w.kind == WidgetKind::Toast {
@@ -196,7 +127,6 @@ impl Page {
     /// The topmost open modal, if any.
     pub fn active_modal(&self) -> Option<WidgetId> {
         self.widgets
-            .data()
             .iter()
             .rev()
             .find(|w| w.kind == WidgetKind::Modal && self.is_shown(w.id))
@@ -259,11 +189,7 @@ impl Page {
 
     /// First widget with the given programmatic `name`.
     pub fn find_by_name(&self, name: &str) -> Option<WidgetId> {
-        self.widgets
-            .data()
-            .iter()
-            .find(|w| w.name == name)
-            .map(|w| w.id)
+        self.widgets.iter().find(|w| w.name == name).map(|w| w.id)
     }
 
     /// The nearest enclosing [`WidgetKind::Form`] of `id`, if any.
@@ -307,92 +233,53 @@ impl Page {
         crate::screenshot::Screenshot::render(
             &self.url,
             &self.title,
-            self.widgets.data(),
+            &self.widgets,
             &self.paint_order(),
             scroll_y,
             None,
         )
     }
 
-    /// Recompute the full layout (after structural mutation or theme
-    /// application). Usually served from the global layout cache; clears
-    /// all dirty marks.
+    /// Recompute the full layout (after any geometry change: structural
+    /// mutation, theme application, a dismissed popup). Usually served
+    /// from the global layout cache.
     pub fn relayout(&mut self) {
-        let root = self.root;
-        self.dirty.clear();
-        self.toasts_dirty = false;
-        self.content_height = layout::layout_page(self.widgets.data_mut(), root);
-    }
-
-    /// Re-place only the widgets dirtied since the last relayout,
-    /// escalating to enclosing containers only when a measured box
-    /// changed, and falling back to [`Page::relayout`] when the change
-    /// reaches the root. Pixel-for-pixel equivalent to a full walk.
-    pub fn relayout_incremental(&mut self) {
-        if self.dirty.is_empty() && !self.toasts_dirty {
-            return;
-        }
-        if layout::cache_bypassed() {
-            // `ECLAIR_NO_CACHE` (and the per-session guard) turns off
-            // incremental relayout along with every other cache layer.
-            self.relayout();
-            return;
-        }
-        let mut dirty = std::mem::take(&mut self.dirty);
-        let toasts = std::mem::take(&mut self.toasts_dirty);
-        dirty.retain(|&slot| self.widgets.slot_occupied(slot));
-        match layout::relayout_dirty(self.widgets.data_mut(), &dirty, toasts) {
-            PartialOutcome::Done => {}
-            PartialOutcome::NeedsFull => self.relayout(),
-        }
+        self.content_height = layout::layout_page(&mut self.widgets, self.root);
     }
 
     /// Remove `id` and its whole subtree from the page: detaches it from
-    /// its parent's child list and vacates every slot (stale [`NodeId`]s
-    /// stop resolving; the slots are reused by later insertions). The
-    /// root cannot be removed. Returns whether anything was removed.
+    /// its parent's child list and leaves a tombstone in each of its
+    /// slots. Ids stay positional, so nothing else moves. The root and an
+    /// already-removed widget (both parentless) cannot be removed.
+    /// Returns whether anything was removed; call [`Page::relayout`]
+    /// afterwards.
     pub fn remove_subtree(&mut self, id: WidgetId) -> bool {
-        if id == self.root || !self.widgets.slot_occupied(id.0) {
+        let Some(pid) = self.get(id).parent else {
             return false;
-        }
+        };
+        self.widgets[pid.index()].children.remove_item(id);
         let mut stack = vec![id];
-        let mut doomed = Vec::new();
         while let Some(s) = stack.pop() {
-            doomed.push(s);
             stack.extend(self.get(s).children.iter().copied());
-        }
-        if let Some(pid) = self.get(id).parent {
-            self.mark_dirty(pid);
-            self.widgets.data_mut()[pid.index()]
-                .children
-                .remove_item(id);
-        }
-        for s in doomed {
-            if self.get(s).kind == WidgetKind::Toast {
-                self.toasts_dirty = true;
-            }
-            let nid = self.widgets.id_at_slot(s.0).expect("collected live");
-            self.widgets.remove(nid, Widget::tombstone(s));
-            self.dirty.retain(|&d| d != s.0);
+            self.widgets[s.index()] = Widget::tombstone(s);
         }
         true
     }
 
     /// Internal: raw widget slice (used by layout and html modules).
-    /// Includes tombstoned slots; they are invisible, unnamed, and
-    /// unreachable from the root.
+    /// Includes tombstones; they are invisible, unnamed, and unreachable
+    /// from the root.
     pub(crate) fn widgets(&self) -> &[Widget] {
-        self.widgets.data()
+        &self.widgets
     }
 
-    /// Internal: insert a fully-initialized widget into the arena (caller
-    /// is responsible for wiring `parent`/`children`). Reuses a vacated
-    /// slot when one exists; returns the assigned id. Used by drift ops
-    /// and fault injectors.
-    pub(crate) fn push_widget(&mut self, w: Widget) -> WidgetId {
-        let nid = self.widgets.insert(w);
-        let id = nid.widget_id();
-        self.widgets.data_mut()[id.index()].id = id;
+    /// Internal: append a fully-initialized widget (caller is responsible
+    /// for wiring `parent`/`children`); returns the assigned id. Used by
+    /// drift ops and fault injectors.
+    pub(crate) fn push_widget(&mut self, mut w: Widget) -> WidgetId {
+        let id = WidgetId(u32::try_from(self.widgets.len()).expect("page overflow"));
+        w.id = id;
+        self.widgets.push(w);
         id
     }
 
@@ -747,18 +634,12 @@ impl PageBuilder {
 
     /// Finish the page: runs layout and returns the immutable result.
     pub fn finish(self) -> Page {
-        let mut arena = SlotArena::new();
-        for w in self.widgets {
-            arena.insert(w);
-        }
         let mut page = Page {
             title: self.title,
             url: self.url,
-            widgets: arena,
+            widgets: self.widgets,
             root: WidgetId(0),
             content_height: 0,
-            dirty: Vec::new(),
-            toasts_dirty: false,
         };
         page.relayout();
         page
@@ -879,22 +760,23 @@ mod tests {
 
     #[test]
     fn remove_subtree_vacates_and_reuses_slots() {
+        // Removal tombstones in place; a later insertion is appended.
         let mut p = sample_page();
         let len_before = p.len();
+        let root = p.root();
+        assert!(!p.remove_subtree(root), "the root cannot be removed");
         let form = p.find_by_name("issue-form").unwrap();
-        let nid = p.node_id(form).unwrap();
         assert!(p.remove_subtree(form));
-        assert!(p.resolve(nid).is_none(), "stale NodeId no longer resolves");
+        assert!(!p.remove_subtree(form), "a tombstone cannot be removed");
+        assert!(!p.get(root).children.contains(&form), "detached");
         assert!(p.find_by_name("title").is_none(), "descendants removed too");
+        assert!(p.find_by_label("Create issue", true).is_none());
         assert_eq!(p.len(), len_before, "slots tombstoned, not compacted");
-        // A later injection reuses vacated slots instead of growing.
         let modal = p.inject_modal("late", "hello", "ok", "OK");
-        assert!(modal.index() < len_before, "vacated slot reused");
-        assert_eq!(p.len(), len_before, "arena did not grow");
-        assert!(p.resolve(nid).is_none(), "old key stays dead after reuse");
-        assert!(p
-            .hit_test(p.get(p.find_by_name("ok").unwrap()).bounds.center())
-            .is_some());
+        assert_eq!(modal.index(), len_before, "insertions are appended");
+        assert_eq!(p.len(), len_before + 3);
+        let ok = p.find_by_name("ok").unwrap();
+        assert_eq!(p.hit_test(p.get(ok).bounds.center()), Some(ok));
     }
 
     #[test]

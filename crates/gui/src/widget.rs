@@ -14,7 +14,7 @@ use crate::arena::ChildVec;
 use crate::geometry::Rect;
 use crate::intern::Sym;
 
-/// Index of a widget in its [`crate::tree::Page`] arena. Ids are stable only
+/// Index of a widget in its [`crate::tree::Page`]. Ids are stable only
 /// within one build of a page; navigation or rebuild invalidates them, which
 /// is why gold traces and agents address widgets semantically instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -156,9 +156,9 @@ impl WidgetKind {
 }
 
 /// One node of a page.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Widget {
-    /// Arena index (assigned by the page builder).
+    /// Index in the page's widget list (assigned by the page builder).
     pub id: WidgetId,
     /// Semantic role.
     pub kind: WidgetKind,
@@ -185,7 +185,7 @@ pub struct Widget {
     pub visible: bool,
     /// Child widget ids, in layout order. Inline up to 8, heap beyond.
     pub children: ChildVec,
-    /// Parent widget id; `None` only for the root.
+    /// Parent widget id; `None` only for the root and for tombstones.
     pub parent: Option<WidgetId>,
     /// Fixed width in pixels, if the builder pinned one.
     pub fixed_w: Option<u32>,
@@ -193,73 +193,6 @@ pub struct Widget {
     pub fixed_h: Option<u32>,
     /// Computed bounds in page coordinates (filled by layout).
     pub bounds: Rect,
-    /// The flow inputs this widget was last placed with, captured by the
-    /// layout engine so a dirty-subtree relayout can re-place it without
-    /// walking from the root. Not serialized; invalid until first layout.
-    pub(crate) layin: LayIn,
-}
-
-// Manual serde impls (the vendored derive has no `skip`): identical to the
-// derive's field-order map, minus the layout-internal `layin` cache.
-impl Serialize for Widget {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("id"), self.id.to_value()),
-            (String::from("kind"), self.kind.to_value()),
-            (String::from("tag"), self.tag.to_value()),
-            (String::from("label"), self.label.to_value()),
-            (String::from("name"), self.name.to_value()),
-            (String::from("value"), self.value.to_value()),
-            (String::from("placeholder"), self.placeholder.to_value()),
-            (String::from("options"), self.options.to_value()),
-            (String::from("level"), self.level.to_value()),
-            (String::from("enabled"), self.enabled.to_value()),
-            (String::from("visible"), self.visible.to_value()),
-            (String::from("children"), self.children.to_value()),
-            (String::from("parent"), self.parent.to_value()),
-            (String::from("fixed_w"), self.fixed_w.to_value()),
-            (String::from("fixed_h"), self.fixed_h.to_value()),
-            (String::from("bounds"), self.bounds.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Widget {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(v.field(name))
-                .map_err(|e| serde::Error::custom(format!("Widget.{name}: {e}")))
-        }
-        Ok(Widget {
-            id: field(v, "id")?,
-            kind: field(v, "kind")?,
-            tag: field(v, "tag")?,
-            label: field(v, "label")?,
-            name: field(v, "name")?,
-            value: field(v, "value")?,
-            placeholder: field(v, "placeholder")?,
-            options: field(v, "options")?,
-            level: field(v, "level")?,
-            enabled: field(v, "enabled")?,
-            visible: field(v, "visible")?,
-            children: field(v, "children")?,
-            parent: field(v, "parent")?,
-            fixed_w: field(v, "fixed_w")?,
-            fixed_h: field(v, "fixed_h")?,
-            bounds: field(v, "bounds")?,
-            layin: LayIn::default(),
-        })
-    }
-}
-
-/// Layout inputs recorded per placed widget: position and available width.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LayIn {
-    pub x: i32,
-    pub y: i32,
-    pub avail_w: u32,
-    /// False until the widget has been placed at least once.
-    pub valid: bool,
 }
 
 impl Widget {
@@ -283,13 +216,13 @@ impl Widget {
             fixed_w: None,
             fixed_h: None,
             bounds: Rect::default(),
-            layin: LayIn::default(),
         }
     }
 
-    /// The inert value left in a vacated arena slot: invisible, unnamed,
-    /// childless, and unreachable from the root (no parent link points at
-    /// it), so no walk, search, or render can observe it.
+    /// The inert value [`crate::tree::Page::remove_subtree`] leaves in a
+    /// removed widget's slot: invisible, unnamed, childless, parentless,
+    /// and unreachable from the root, so no walk, search, or render can
+    /// observe it.
     pub(crate) fn tombstone(slot: WidgetId) -> Self {
         let mut w = Widget::new(WidgetKind::Root);
         w.id = slot;

@@ -1,19 +1,8 @@
-//! Property tests for the arena-backed GUI core.
-//!
-//! Three contracts, each load-bearing for the incremental-relayout design:
-//!
-//! 1. **Interner determinism** — equal strings always intern to the same
-//!    [`Sym`], distinct strings never alias, and serde round-trips the
-//!    *string* (ids must never leak into artifacts).
-//! 2. **Generation safety** — a [`NodeId`] that survived a removal can
-//!    never resolve again, no matter how its slot is reused.
-//! 3. **Partial/full equivalence** — any sequence of widget mutations
-//!    followed by [`Page::relayout_incremental`] produces byte-identical
-//!    pages and frames to the same mutations followed by a full
-//!    [`Page::relayout`]. This is the property that makes dirty-subtree
-//!    relayout an optimization rather than a behavior change.
+//! Property tests for the GUI core's interner: equal strings always
+//! intern to the same [`Sym`], distinct strings never alias, and serde
+//! round-trips the *string* (ids must never leak into artifacts).
 
-use eclair_gui::{intern, NodeId, Page, PageBuilder, SlotArena, Sym, WidgetId};
+use eclair_gui::{intern, Sym};
 use proptest::prelude::*;
 
 proptest! {
@@ -45,121 +34,5 @@ proptest! {
         prop_assert_eq!(&json, &serde_json::to_string(&s).unwrap());
         let back: Sym = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, sym);
-    }
-
-    #[test]
-    fn arena_generations_protect_stale_ids(
-        ops in proptest::collection::vec((0u8..2, 0usize..16), 1..60),
-    ) {
-        let mut arena: SlotArena<u64> = SlotArena::new();
-        let mut live: Vec<(NodeId, u64)> = Vec::new();
-        let mut dead: Vec<NodeId> = Vec::new();
-        let mut next = 0u64;
-        for (op, pick) in ops {
-            if op == 0 || live.is_empty() {
-                let id = arena.insert(next);
-                live.push((id, next));
-                next += 1;
-            } else {
-                let (id, _) = live.remove(pick % live.len());
-                prop_assert!(arena.remove(id, u64::MAX).is_some());
-                dead.push(id);
-            }
-            for (id, v) in &live {
-                prop_assert!(arena.contains(*id));
-                prop_assert_eq!(arena.get(*id), Some(v));
-            }
-            for id in &dead {
-                // A dead id stays dead even after its slot is reused: the
-                // generation check, not the slot index, decides liveness.
-                prop_assert!(!arena.contains(*id));
-                prop_assert!(arena.get(*id).is_none());
-            }
-            prop_assert_eq!(arena.live_count(), live.len());
-        }
-    }
-}
-
-/// A page with enough structure for mutations to matter: nested sections,
-/// a form, a row (horizontal flow), and leaf text.
-fn build_page() -> Page {
-    let mut b = PageBuilder::new("Props", "/props");
-    b.heading(1, "Arena proptest");
-    b.section(|b| {
-        b.text("intro text");
-        b.form("form-a", |b| {
-            b.text_input("name", "Name", "your name");
-            b.text_input("email", "Email", "you@example.com");
-            b.checkbox("subscribe", "Subscribe", false);
-            b.button("save", "Save");
-        });
-    });
-    b.section(|b| {
-        b.row(|b| {
-            b.button("one", "One");
-            b.button("two", "Two");
-            b.button("three", "Three");
-        });
-        b.text("footer text");
-    });
-    b.finish()
-}
-
-/// Non-root ids whose slot is still occupied (mutation candidates).
-fn live_ids(p: &Page) -> Vec<WidgetId> {
-    (0..p.len() as u32)
-        .map(WidgetId)
-        .filter(|&id| id != p.root() && p.node_id(id).is_some())
-        .collect()
-}
-
-proptest! {
-    #[test]
-    fn incremental_relayout_matches_full_relayout(
-        ops in proptest::collection::vec((0u8..4, 0usize..64, 0usize..8), 0..10),
-    ) {
-        let mut inc = build_page();
-        let mut full = build_page();
-        for (kind, pick, payload) in ops {
-            let candidates = live_ids(&inc);
-            if candidates.is_empty() {
-                break;
-            }
-            let id = candidates[pick % candidates.len()];
-            match kind {
-                0 => {
-                    let v: Sym = format!("v{payload}").into();
-                    inc.get_mut(id).value = v;
-                    full.get_mut(id).value = v;
-                }
-                1 => {
-                    let l: Sym = format!("relabeled {payload}").into();
-                    inc.get_mut(id).label = l;
-                    full.get_mut(id).label = l;
-                }
-                2 => {
-                    let vis = !inc.get(id).visible;
-                    inc.get_mut(id).visible = vis;
-                    full.get_mut(id).visible = vis;
-                }
-                _ => {
-                    prop_assert_eq!(inc.remove_subtree(id), full.remove_subtree(id));
-                }
-            }
-            inc.relayout_incremental();
-            full.relayout();
-            // Byte equivalence after *every* step, not just at the end:
-            // an intermediate divergence that later self-corrects would
-            // still have served a wrong frame.
-            prop_assert_eq!(inc.content_height, full.content_height);
-            let fa = inc.screenshot_at(0);
-            let fb = full.screenshot_at(0);
-            prop_assert_eq!(fa.frame_hash(), fb.frame_hash());
-            prop_assert_eq!(&fa, &fb);
-            prop_assert_eq!(
-                serde_json::to_string(&inc).unwrap(),
-                serde_json::to_string(&full).unwrap()
-            );
-        }
     }
 }

@@ -199,12 +199,9 @@ impl MetricsRegistry {
         self.inc("cache.frame_invalidations", c.frame_cache_invalidations);
         self.inc("cache.relayouts_avoided", c.relayouts_avoided);
         self.inc("cache.relayouts_full", c.relayouts_full);
-        self.inc("cache.relayouts_partial", c.relayouts_partial);
-        self.inc("cache.dirty_nodes_visited", c.dirty_nodes_visited);
         self.inc("cache.layout_cache_hits", c.layout_cache_hits);
         self.inc("gui.intern_hits", c.intern_hits);
         self.inc("gui.intern_misses", c.intern_misses);
-        self.inc("gui.arena_slots_reused", c.arena_slots_reused);
         // Table size is a high-water gauge, not a counter: merged
         // snapshots take the max, and absorb keeps that semantic.
         let size = c.intern_table_size as i64;

@@ -39,12 +39,6 @@ pub struct PerfCounters {
     /// engine, not the session, so a skipped walk can never masquerade as
     /// a saved one.
     pub relayouts_full: u64,
-    /// Dirty-subtree relayouts: layout passes that re-placed only the
-    /// dirty nodes (plus any ancestors whose measured box changed) instead
-    /// of walking the whole tree.
-    pub relayouts_partial: u64,
-    /// Nodes re-placed across all dirty-subtree relayouts.
-    pub dirty_nodes_visited: u64,
     /// Full layout walks answered from the global layout cache (bounds
     /// replayed from an identical earlier walk; no tree traversal ran).
     pub layout_cache_hits: u64,
@@ -56,9 +50,6 @@ pub struct PerfCounters {
     /// This is a gauge, not a sum: [`merge`](Self::merge) takes the max so
     /// fleet-merged snapshots still report the true table size.
     pub intern_table_size: u64,
-    /// Widget-arena insertions that reused a vacated slot (generation
-    /// bumped) instead of growing the backing storage.
-    pub arena_slots_reused: u64,
     /// `FmModel::perceive` calls answered from the perception memo.
     pub perceive_memo_hits: u64,
     /// `FmModel::perceive` calls that ran the full perception pass.
@@ -122,13 +113,10 @@ impl PerfCounters {
         self.frame_cache_invalidations += other.frame_cache_invalidations;
         self.relayouts_avoided += other.relayouts_avoided;
         self.relayouts_full += other.relayouts_full;
-        self.relayouts_partial += other.relayouts_partial;
-        self.dirty_nodes_visited += other.dirty_nodes_visited;
         self.layout_cache_hits += other.layout_cache_hits;
         self.intern_hits += other.intern_hits;
         self.intern_misses += other.intern_misses;
         self.intern_table_size = self.intern_table_size.max(other.intern_table_size);
-        self.arena_slots_reused += other.arena_slots_reused;
         self.perceive_memo_hits += other.perceive_memo_hits;
         self.perceive_memo_misses += other.perceive_memo_misses;
         self.cached_tokens += other.cached_tokens;
@@ -160,13 +148,10 @@ thread_local! {
         frame_cache_invalidations: 0,
         relayouts_avoided: 0,
         relayouts_full: 0,
-        relayouts_partial: 0,
-        dirty_nodes_visited: 0,
         layout_cache_hits: 0,
         intern_hits: 0,
         intern_misses: 0,
         intern_table_size: 0,
-        arena_slots_reused: 0,
         perceive_memo_hits: 0,
         perceive_memo_misses: 0,
         cached_tokens: 0,
