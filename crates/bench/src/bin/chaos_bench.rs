@@ -95,7 +95,6 @@ fn fleet(workers: usize) -> Fleet {
         // many scheduler retries it takes to luck past the faults.
         retry: RetryPolicy::none(),
         fleet_seed: FLEET_SEED,
-        use_shared: true,
     })
 }
 

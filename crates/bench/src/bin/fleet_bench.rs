@@ -154,7 +154,6 @@ fn main() {
             queue_capacity: 2 * workers,
             retry,
             fleet_seed,
-            use_shared: true,
         });
         let report = fleet
             .run(specs(fleet_seed, tasks, reps))

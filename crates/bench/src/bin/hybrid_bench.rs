@@ -143,7 +143,6 @@ fn fleet(workers: usize) -> Fleet {
         // in-run economics, not scheduler retries.
         retry: RetryPolicy::none(),
         fleet_seed: FLEET_SEED,
-        use_shared: true,
     })
 }
 

@@ -1,7 +1,7 @@
 //! GUI→FM hot-path cache bench: run the 30-task suite twice per leg —
 //! once through the fleet executor (the Execute hot path, frame-cache
 //! heavy) and once through the full agent pipeline at the WD+KF evidence
-//! level (Demonstrate → Execute → Validate, perception-memo heavy) — with
+//! level (Demonstrate → Execute → Validate, percept-cache heavy) — with
 //! the caches on, then again under `ECLAIR_NO_CACHE=1`. Proves the two
 //! legs are byte-identical (cache transparency) and emits
 //! `BENCH_perf.json`.
@@ -43,7 +43,7 @@ struct LegJson {
     perceive_memo_hits: u64,
     perceive_memo_misses: u64,
     perceive_memo_rate: f64,
-    /// Tokens the memo served from cache — re-accounted identically into
+    /// Tokens the percept cache served — re-accounted identically into
     /// the meters (transparency), reported here for effectiveness only.
     cached_tokens: u64,
     fleet_succeeded: u64,
@@ -100,7 +100,7 @@ fn fleet_specs(fleet_seed: u64, tasks: usize) -> Vec<RunSpec> {
 /// `Eclair::automate` over the suite with ONE shared agent at the WD+KF
 /// evidence level — the configuration whose Demonstrate phase actually
 /// runs FM perception over key-frame pairs (WD+KF+ACT reads the action
-/// log and never perceives), so the perception memo sees real traffic.
+/// log and never perceives), so the percept cache sees real traffic.
 fn wdkf_sweep(n_tasks: usize, seed: u64) -> SweepResult {
     let tasks: Vec<_> = all_tasks().into_iter().take(n_tasks.max(1)).collect();
     let mut agent = Eclair::new(EclairConfig {

@@ -1,9 +1,9 @@
 //! Fleet-wide shared perception cache bench: execute the 30-task suite
 //! twice on one [`Fleet`] — the second pass is the "re-run" a real fleet
 //! performs constantly (replays, retries, sibling runs on the same
-//! sites) — once with the shared cache off (the per-instance baseline,
-//! where every percept is recomputed) and once with it on (where the
-//! second pass is served entirely from the shards filled by the first).
+//! sites), served entirely from the shards filled by the first — and
+//! twice on a fresh fleet per pass (the per-instance baseline: run seeds
+//! differ, so pass 2 recomputes every percept).
 //! A third leg runs seed-identical replica specs on 8 workers to
 //! exercise single-flight dedup under real contention. Proves all legs
 //! are byte-identical in outcomes and traces (shared-cache transparency)
@@ -55,12 +55,13 @@ struct SharedLegJson {
     cross_run_cached_tokens: u64,
 }
 
-/// The per-instance baseline: same suite, same two passes, shared layer
-/// off. Every percept the second pass needs is recomputed from scratch.
+/// The per-instance baseline: same suite, same two passes, each on a
+/// fresh fleet. Every percept the second pass needs is recomputed from
+/// scratch.
 #[derive(Debug, Serialize)]
 struct BaselineLegJson {
-    /// Percepts computed across both passes (the memo misses of both
-    /// passes — roughly double the shared leg's unique count).
+    /// Percepts computed across both passes (the percept-cache misses of
+    /// both passes — double the shared leg's unique count).
     percepts_computed: u64,
     /// By construction: no state outlives a run's own model instance.
     cross_run_hits: u64,
@@ -88,8 +89,8 @@ struct ReplicaLegJson {
 struct SharedBenchJson {
     suite_tasks: usize,
     seed: u64,
-    /// All four sequential reports (shared on/off x pass 1/2) serialize
-    /// identical records JSON.
+    /// All four sequential reports (one fleet / a fresh fleet per pass x
+    /// pass 1/2) serialize identical records JSON.
     outcomes_identical: bool,
     /// ... and identical merged trace JSONL.
     traces_identical: bool,
@@ -133,21 +134,21 @@ fn replica_suite(seed: u64, tasks: usize) -> Vec<RunSpec> {
     specs
 }
 
-fn fleet(seed: u64, workers: usize, shared: bool) -> Fleet {
-    Fleet::new(
-        FleetConfig::default()
-            .with_workers(workers)
-            .with_seed(seed)
-            .with_shared(shared),
-    )
+fn fleet(seed: u64, workers: usize) -> Fleet {
+    Fleet::new(FleetConfig::default().with_workers(workers).with_seed(seed))
 }
 
-/// Two sequential passes of the suite on one fleet (so the second pass
-/// sees whatever the first left in the shards).
-fn leg(f: &Fleet, seed: u64, tasks: usize) -> Leg {
+/// Two sequential passes of the suite, each on a fresh fleet (so the
+/// second pass finds nothing the first left behind).
+fn fresh_leg(seed: u64, tasks: usize) -> Leg {
     let started = std::time::Instant::now();
-    let first = f.run_sequential(suite(seed, tasks)).expect("first pass");
-    let second = f.run_sequential(suite(seed, tasks)).expect("second pass");
+    let pass = || {
+        fleet(seed, 1)
+            .run_sequential(suite(seed, tasks))
+            .expect("pass")
+    };
+    let first = pass();
+    let second = pass();
     Leg {
         first,
         second,
@@ -166,11 +167,13 @@ fn arg_value(flag: &str) -> Option<String> {
 fn main() {
     let seed = 2024u64;
     let tasks = if fast_mode() { 8 } else { 30 };
-    println!("shared_bench: {tasks} tasks x 2 passes, shared cache on/off, seed {seed}");
+    println!(
+        "shared_bench: {tasks} tasks x 2 passes, one fleet vs a fresh fleet per pass, seed {seed}"
+    );
 
     // Shared leg: pass 1 fills the shards, pass 2 harvests them.
     perf::reset();
-    let on_fleet = fleet(seed, 1, true);
+    let on_fleet = fleet(seed, 1);
     let after_none = on_fleet.shared_cache().stats();
     assert_eq!(after_none, Default::default(), "fresh fleet, empty books");
     let on = {
@@ -204,17 +207,11 @@ fn main() {
         cross_run_cached_tokens: on_counters.shared_cached_tokens,
     };
 
-    // Per-instance baseline: same fleet shape, shared layer off. Each
-    // run's percepts die with its model instance.
+    // Per-instance baseline: same fleet shape, a fresh fleet per pass.
+    // Run seeds differ, so no percept outlives its own run.
     perf::reset();
-    let off_fleet = fleet(seed, 1, false);
-    let off_leg = leg(&off_fleet, seed, tasks);
+    let off_leg = fresh_leg(seed, tasks);
     let off_counters = perf::snapshot();
-    assert_eq!(
-        off_fleet.shared_cache().stats(),
-        Default::default(),
-        "a shared-off fleet never touches its shards"
-    );
     let baseline_json = BaselineLegJson {
         percepts_computed: off_counters.perceive_memo_misses,
         cross_run_hits: 0,
@@ -223,12 +220,12 @@ fn main() {
 
     // Replica leg: 8 workers over seed-identical twins. Single-flight
     // and shard hits split by scheduling; their sum does not.
-    let rep_fleet = fleet(seed, 8, true);
+    let rep_fleet = fleet(seed, 8);
     let rep = rep_fleet
         .run(replica_suite(seed, tasks))
         .expect("replica run");
     let rep_stats = rep_fleet.shared_cache().stats();
-    let rep_seq = fleet(seed, 1, true)
+    let rep_seq = fleet(seed, 1)
         .run_sequential(replica_suite(seed, tasks))
         .expect("replica sequential");
     let matches_sequential = rep.outcome.to_json() == rep_seq.outcome.to_json()
@@ -241,7 +238,7 @@ fn main() {
         matches_sequential,
     };
 
-    // Transparency across every sequential leg: the shared layer must be
+    // Transparency across every sequential leg: cross-run hits must be
     // unobservable in records and traces alike.
     let base_json = on_leg.first.outcome.to_json();
     let base_trace = on_leg.first.merged_trace_jsonl().expect("trace");
@@ -262,7 +259,7 @@ fn main() {
         shared_json.cross_run_cached_tokens,
     );
     println!(
-        "shared off: {:.1} ms, {} percepts recomputed (cross-run hit rate 0 by construction)",
+        "per-run   : {:.1} ms, {} percepts recomputed (cross-run hit rate 0 by construction)",
         off_leg.wall_ms, baseline_json.percepts_computed,
     );
     println!(

@@ -33,8 +33,8 @@ pub struct ExecConfig {
     /// Click through a login interstitial when the session expires
     /// mid-run (the chaos layer's session-expiry fault).
     pub relogin_expired: bool,
-    /// Whether the caching layer (frame cache, layout cache,
-    /// perception memo) runs underneath this execution. Combined with the
+    /// Whether the caching layer (frame cache, layout cache, percept
+    /// cache — a fleet's included) runs underneath this execution. Combined with the
     /// `ECLAIR_NO_CACHE=1` kill switch; flipping either must not change a
     /// single serialized byte (the transparency invariant the crucible's
     /// `cache-transparent` oracle enforces).

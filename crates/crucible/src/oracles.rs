@@ -224,12 +224,12 @@ fn faults_iff_chaos(run: &ScenarioRun) -> Verdict {
 }
 
 fn cache_transparent(run: &ScenarioRun) -> Verdict {
-    // The frame cache and perception memo are optimizations, never
-    // observables: a cache hit re-accounts the identical tokens and the
-    // skipped relayout reproduces the page a full rebuild would have
-    // built. The runner re-executed the scenario with the caches toggled
-    // the other way; any drift in outcome or trace means a cache served
-    // stale state or leaked its existence into the record.
+    // The caches are optimizations, never observables: a percept hit
+    // re-accounts the identical tokens, and a replayed layout reproduces
+    // the page a full walk would have built. The runner re-executed the
+    // scenario with every cache, the fleet's included, toggled; any drift
+    // means a cache served stale state, cross-served a percept between
+    // streams, or leaked its existence into the record.
     let flip = &run.cache_flip;
     if flip.outcome.to_json() != run.report.outcome.to_json() {
         return Verdict::Fail(format!(
@@ -239,27 +239,6 @@ fn cache_transparent(run: &ScenarioRun) -> Verdict {
     }
     fail(flip.merged_trace != run.report.merged_trace, || {
         "merged trace diverged when the cache toggled".to_string()
-    })
-}
-
-fn shared_cache_transparent(run: &ScenarioRun) -> Verdict {
-    // The fleet-wide shared percept cache (and its single-flight dedup)
-    // is the same contract one level up: a shared hit re-accounts the
-    // identical tokens the local memo would have, so toggling the whole
-    // layer off must change nothing observable. The runner re-executed
-    // the scenario with the shared knob flipped; any drift means a shard
-    // cross-served a percept between streams or leaked a counter into
-    // the record. Never skips: the opposite-shared twin is always
-    // gathered.
-    let flip = &run.shared_flip;
-    if flip.outcome.to_json() != run.report.outcome.to_json() {
-        return Verdict::Fail(format!(
-            "outcome diverged when the shared cache toggled {}",
-            if run.scenario.use_shared { "off" } else { "on" }
-        ));
-    }
-    fail(flip.merged_trace != run.report.merged_trace, || {
-        "merged trace diverged when the shared cache toggled".to_string()
     })
 }
 
@@ -414,14 +393,8 @@ pub fn registry() -> Vec<Oracle> {
         Oracle {
             name: "cache-transparent",
             contract:
-                "toggling the frame cache + perception memo leaves outcome and trace byte-identical",
+                "toggling every cache, the fleet's percept cache included, leaves outcome and trace byte-identical",
             check: cache_transparent,
-        },
-        Oracle {
-            name: "shared-cache-transparent",
-            contract:
-                "toggling the fleet-wide shared percept cache leaves outcome and trace byte-identical",
-            check: shared_cache_transparent,
         },
         Oracle {
             name: "budgets-respected",
@@ -541,16 +514,13 @@ mod tests {
         s.workers = 1;
         s.chaos_rate = 0.0;
         let mut run = run_scenario(&s).expect("runs");
-        // Doctor the opposite-shared twin: pretend the shared layer
-        // changed an outcome when it toggled.
-        run.shared_flip.outcome.succeeded += 1;
+        // Doctor the opposite-cache twin, whose flip toggles the fleet's
+        // shared percept cache with the rest: pretend a cache changed an
+        // outcome when it toggled.
+        run.cache_flip.outcome.succeeded += 1;
         let eval = evaluate(&run);
         let fired: Vec<_> = eval.violations.iter().map(|v| v.oracle).collect();
-        assert!(fired.contains(&"shared-cache-transparent"), "{fired:?}");
-        assert!(
-            !fired.contains(&"cache-transparent"),
-            "the local-cache oracle must not fire for a shared-layer leak: {fired:?}"
-        );
+        assert_eq!(fired, ["cache-transparent"], "only the cache oracle fires");
     }
 
     #[test]

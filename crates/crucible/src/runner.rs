@@ -12,12 +12,11 @@
 //! re-login that fixes a task the fault-free trajectory fails — so runs
 //! that did take faults are unconstrained across rungs.)
 //!
-//! Every run also gathers a sequential re-execution with the frame cache
-//! and perception memo toggled the other way, feeding the
-//! cache-transparent oracle: caching is an optimization, never an
-//! observable, so the flipped evidence must be byte-identical. The
-//! fleet-wide shared percept cache gets the same treatment — an
-//! opposite-shared twin feeding the shared-cache-transparent oracle.
+//! Every run also gathers a sequential re-execution with every cache —
+//! frame, layout and percept, the fleet's included — toggled the other
+//! way, feeding the cache-transparent oracle: caching is an
+//! optimization, never an observable, so the flipped evidence must be
+//! byte-identical.
 //!
 //! Finally, every run gathers the scenario's *hybrid twin*: the same
 //! specs with the compiled-bot + FM-fallback policy attached. The
@@ -53,15 +52,10 @@ pub struct ScenarioRun {
     /// The same scenario at rates `[0, rate/2, rate]`, present when
     /// chaos is armed.
     pub ladder: Option<Vec<LadderPoint>>,
-    /// Sequential execution with the frame cache + perception memo
-    /// toggled the other way. Always gathered: the cache-transparent
-    /// oracle demands it be byte-identical to `report`.
+    /// Sequential execution with every cache toggled the other way.
+    /// Always gathered: the cache-transparent oracle demands it be
+    /// byte-identical to `report`.
     pub cache_flip: FleetReport,
-    /// Sequential execution with the fleet-wide shared percept cache
-    /// toggled the other way. Always gathered: the
-    /// shared-cache-transparent oracle demands it be byte-identical to
-    /// `report`.
-    pub shared_flip: FleetReport,
     /// Sequential execution of the scenario's hybrid twin — the same
     /// specs with the compiled-bot + FM-fallback policy attached. Always
     /// gathered: the hybrid-transparent oracle demands every pure-FM
@@ -103,8 +97,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, MergeError> {
     };
     let flipped = scenario.with_cache(!scenario.use_cache);
     let cache_flip = fleet_for(&flipped, 1).run_sequential(flipped.specs())?;
-    let sflipped = scenario.with_shared(!scenario.use_shared);
-    let shared_flip = fleet_for(&sflipped, 1).run_sequential(sflipped.specs())?;
     let hybrid = fleet_for(scenario, 1).run_sequential(scenario.hybrid_specs())?;
     Ok(ScenarioRun {
         scenario: scenario.clone(),
@@ -112,7 +104,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, MergeError> {
         parallel,
         ladder,
         cache_flip,
-        shared_flip,
         hybrid,
     })
 }
@@ -138,11 +129,6 @@ mod tests {
             run.cache_flip.outcome.to_json(),
             run.report.outcome.to_json(),
             "the opposite-cache re-run is always gathered and transparent"
-        );
-        assert_eq!(
-            run.shared_flip.outcome.to_json(),
-            run.report.outcome.to_json(),
-            "the opposite-shared re-run is always gathered and transparent"
         );
     }
 

@@ -57,19 +57,12 @@ pub struct Scenario {
     pub max_attempts: u32,
     /// Worker threads; > 1 arms the parallel-vs-sequential oracle.
     pub workers: usize,
-    /// Whether runs use the frame cache + perception memo. Caching is
-    /// contractually invisible — the runner always gathers an
-    /// opposite-cache re-run and the cache-transparent oracle demands
-    /// byte-identical evidence — so this knob only decides which side
-    /// is the baseline.
+    /// Whether runs use the caches: frame, layout and percept, the
+    /// fleet's included. Caching is contractually invisible — the runner
+    /// always gathers an opposite-cache re-run and the cache-transparent
+    /// oracle demands byte-identical evidence — so this knob only
+    /// decides which side is the baseline.
     pub use_cache: bool,
-    /// Whether runs see the fleet-wide shared percept cache. As
-    /// transparent as the local caches — the runner gathers an
-    /// opposite-shared twin and the shared-cache-transparent oracle
-    /// demands byte-identical evidence. Derived from the scenario seed's
-    /// parity (no generator draw), so adding this knob shifted no
-    /// existing scenario.
-    pub use_shared: bool,
 }
 
 impl Scenario {
@@ -121,9 +114,6 @@ impl Scenario {
             // Mostly on (the production default); off often enough that
             // sweeps exercise the uncached baseline as the ground truth.
             use_cache: !rng.chance(1, 8),
-            // Seed parity, not a draw: an extra draw here would shift
-            // every knob of every existing generated scenario.
-            use_shared: seed & 1 == 0,
         }
     }
 
@@ -163,7 +153,7 @@ impl Scenario {
                 if self.chaos_enabled() {
                     spec = spec.with_chaos(ChaosProfile::full(self.chaos_seed, self.chaos_rate));
                 }
-                spec.with_cache(self.use_cache).with_shared(self.use_shared)
+                spec.with_cache(self.use_cache)
             })
             .collect()
     }
@@ -189,15 +179,6 @@ impl Scenario {
     pub fn with_cache(&self, on: bool) -> Self {
         Self {
             use_cache: on,
-            ..self.clone()
-        }
-    }
-
-    /// A copy with the shared percept cache toggled (the runner's
-    /// shared-transparency re-run).
-    pub fn with_shared(&self, on: bool) -> Self {
-        Self {
-            use_shared: on,
             ..self.clone()
         }
     }
@@ -275,8 +256,6 @@ mod tests {
         assert!(sweep.iter().any(|s| s.workers == 1));
         assert!(sweep.iter().any(|s| s.use_cache));
         assert!(sweep.iter().any(|s| !s.use_cache));
-        assert!(sweep.iter().any(|s| s.use_shared));
-        assert!(sweep.iter().any(|s| !s.use_shared));
         // The sweep draws from the full generated corpus, not just the
         // 30-task handwritten prefix.
         assert!(
@@ -301,7 +280,6 @@ mod tests {
             max_attempts: 2,
             workers: 3,
             use_cache: false,
-            use_shared: false,
         };
         let specs = s.specs();
         assert_eq!(specs.len(), 2);
@@ -312,7 +290,6 @@ mod tests {
             assert_eq!(spec.deadline_steps, Some(9));
             assert_eq!(spec.chaos, Some(ChaosProfile::full(77, 0.3)));
             assert!(!spec.config.use_cache, "the cache knob reaches the spec");
-            assert!(!spec.use_shared, "the shared knob reaches the spec");
         }
         assert_eq!(specs[0].task.id, corpus_tasks()[2].id);
         assert_eq!(specs[1].task.id, corpus_tasks()[5].id);

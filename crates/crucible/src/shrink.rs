@@ -178,7 +178,6 @@ fn {test_name}() {{
         max_attempts: {max_attempts},
         workers: {workers},
         use_cache: {use_cache},
-        use_shared: {use_shared},
     }};
     let run = eclair_crucible::run_scenario(&scenario).expect("scenario executes");
     let eval = eclair_crucible::evaluate(&run);
@@ -196,7 +195,6 @@ fn {test_name}() {{
         max_attempts = scenario.max_attempts,
         workers = scenario.workers,
         use_cache = scenario.use_cache,
-        use_shared = scenario.use_shared,
     )
 }
 

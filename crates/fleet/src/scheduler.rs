@@ -58,10 +58,6 @@ pub struct FleetConfig {
     pub retry: RetryPolicy,
     /// Seed all run seeds derive from (via [`crate::spec::derive_seed`]).
     pub fleet_seed: u64,
-    /// Master switch for the fleet-wide shared percept cache. On by
-    /// default; individual runs can still opt out via
-    /// [`RunSpec::with_shared`]. Off, no run sees the shared handle.
-    pub use_shared: bool,
 }
 
 impl Default for FleetConfig {
@@ -71,7 +67,6 @@ impl Default for FleetConfig {
             queue_capacity: 16,
             retry: RetryPolicy::default(),
             fleet_seed: eclair_core::calibration::SEED,
-            use_shared: true,
         }
     }
 }
@@ -100,18 +95,13 @@ impl FleetConfig {
         self.fleet_seed = fleet_seed;
         self
     }
-
-    /// Toggle the fleet-wide shared percept cache.
-    pub fn with_shared(mut self, on: bool) -> Self {
-        self.use_shared = on;
-        self
-    }
 }
 
-/// The scheduler handle. Owns the fleet-wide shared percept cache, which
-/// therefore persists across `run`/`run_sequential` invocations on the
-/// same `Fleet` — that persistence is where cross-run hits come from
-/// (re-executed suites, retry rescues, metamorphic re-runs).
+/// The scheduler handle. Owns the fleet's percept cache, which every
+/// model of every run perceives through, and which therefore persists
+/// across `run`/`run_sequential` invocations on the same `Fleet` — that
+/// persistence is where cross-run hits come from (re-executed suites,
+/// retry rescues, metamorphic re-runs).
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
@@ -140,16 +130,11 @@ impl Fleet {
         &self.config
     }
 
-    /// The fleet's shared percept cache (benches read its quarantined
-    /// stats; harnesses may hand the same `Fleet` a second suite to
-    /// harvest cross-invocation hits).
+    /// The fleet's percept cache (benches read its quarantined stats;
+    /// harnesses may hand the same `Fleet` a second suite to harvest
+    /// cross-invocation hits).
     pub fn shared_cache(&self) -> &Arc<SharedPerceptCache> {
         &self.shared
-    }
-
-    /// The handle workers get: `Some` only under the config switch.
-    fn shared_handle(&self) -> Option<&Arc<SharedPerceptCache>> {
-        self.config.use_shared.then_some(&self.shared)
     }
 
     /// A token that cancels this fleet when triggered (from any thread).
@@ -178,7 +163,7 @@ impl Fleet {
                                 &spec,
                                 &self.config.retry,
                                 &self.cancel,
-                                self.shared_handle(),
+                                Some(&self.shared),
                             )
                         };
                         results.lock().unwrap().push(run);
@@ -217,12 +202,7 @@ impl Fleet {
                 if self.cancel.is_cancelled() {
                     cancelled_record(spec)
                 } else {
-                    execute_spec_shared(
-                        spec,
-                        &self.config.retry,
-                        &self.cancel,
-                        self.shared_handle(),
-                    )
+                    execute_spec_shared(spec, &self.config.retry, &self.cancel, Some(&self.shared))
                 }
             })
             .collect();
@@ -363,7 +343,6 @@ mod tests {
                 ..RetryPolicy::default()
             },
             fleet_seed: 13,
-            use_shared: true,
         });
         let token = fleet.cancel_token();
         let report = std::thread::scope(|s| {

@@ -55,11 +55,6 @@ pub struct RunSpec {
     /// `(chaos_seed, run_id, step)`, so the fault environment is as
     /// deterministic as the model noise and independent of it.
     pub chaos: Option<ChaosProfile>,
-    /// Whether this run consults the fleet-wide shared percept cache
-    /// (`eclair_fm::SharedPerceptCache`). On by default; like the local
-    /// caches it is transparent — records and traces are byte-identical
-    /// either way — and `ECLAIR_NO_CACHE=1` still bypasses it entirely.
-    pub use_shared: bool,
     /// Optional hybrid execution policy. When set, each attempt first
     /// compiles the task's validated trace into a selector bot and runs
     /// it with step-scoped FM fallback (`eclair-hybrid`); with
@@ -84,7 +79,6 @@ impl RunSpec {
             token_budget: None,
             deadline_steps: None,
             config,
-            use_shared: true,
             chaos: None,
             hybrid: None,
         }
@@ -120,21 +114,13 @@ impl RunSpec {
         self
     }
 
-    /// Toggle the frame cache and perception memo for every attempt of
-    /// this run. Caching is transparent (identical records and traces
-    /// either way), so this only changes wall-clock; `ECLAIR_NO_CACHE=1`
-    /// still force-disables both at execution time.
+    /// Toggle every cache for every attempt of this run: the frame and
+    /// layout caches and the percept cache, a fleet's included. Caching
+    /// is transparent (identical records and traces either way), so this
+    /// only changes wall-clock and the quarantined perf counters;
+    /// `ECLAIR_NO_CACHE=1` still force-disables them at execution time.
     pub fn with_cache(mut self, on: bool) -> Self {
         self.config.use_cache = on;
-        self
-    }
-
-    /// Toggle the fleet-wide shared percept cache for this run. Also
-    /// transparent: a shared hit re-accounts the exact tokens the
-    /// recompute would have, so flipping this changes only wall-clock
-    /// and the quarantined `shared.*` perf counters.
-    pub fn with_shared(mut self, on: bool) -> Self {
-        self.use_shared = on;
         self
     }
 }
@@ -186,10 +172,8 @@ mod tests {
         let task = all_tasks().remove(0);
         let spec = RunSpec::for_task(1, 0, task, FmProfile::Oracle);
         assert!(spec.config.use_cache);
-        assert!(spec.use_shared, "shared layer is on by default");
-        let spec = spec.with_cache(false).with_shared(false);
+        let spec = spec.with_cache(false);
         assert!(!spec.config.use_cache);
-        assert!(!spec.use_shared);
     }
 
     #[test]

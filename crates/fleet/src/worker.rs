@@ -55,23 +55,18 @@ pub fn execute_spec(
     execute_spec_shared(spec, policy, cancel, None)
 }
 
-/// As [`execute_spec`], with a fleet-wide shared percept cache attached
-/// to every model the run instantiates (initial attempts *and* hybrid
-/// rescues — both must see the same cache, or a rescue would recompute
-/// percepts its bot attempt already published). The handle is ignored
-/// when the spec opts out via `use_shared: false`; caching stays
-/// transparent either way, so the record and events are byte-identical
-/// with and without the handle.
+/// As [`execute_spec`], with a fleet's percept cache attached to every
+/// model the run instantiates (initial attempts *and* hybrid rescues —
+/// both must see the same cache, or a rescue would recompute percepts
+/// its bot attempt already published). Caching stays transparent, so
+/// the record and events are byte-identical with and without the handle.
 pub fn execute_spec_shared(
     spec: &RunSpec,
     policy: &RetryPolicy,
     cancel: &CancelToken,
     shared: Option<&Arc<SharedPerceptCache>>,
 ) -> (RunRecord, Vec<TraceEvent>) {
-    let shared = if spec.use_shared { shared } else { None };
-    let mut summary = RunSummary::default();
-    let mut tokens = TokenMeter::default();
-    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut books = Books::default();
     let mut jitter_rng = StdRng::seed_from_u64(derive_seed(spec.seed, BACKOFF_STREAM));
     let max_attempts = policy.max_attempts.max(1);
 
@@ -81,8 +76,6 @@ pub fn execute_spec_shared(
     }
 
     let mut attempts = 0u32;
-    let mut exec_steps = 0u64;
-    let mut vt_exec_us = 0u64;
     let mut faults_injected = 0u64;
     let mut backoff_steps = 0u64;
     let mut outcome = RunOutcome::Cancelled;
@@ -93,18 +86,7 @@ pub fn execute_spec_shared(
             break;
         }
         attempts = attempt;
-        let mut model = spec
-            .profile
-            .instantiate(derive_seed(spec.seed, attempt as u64));
-        if let Some(cache) = shared {
-            model.attach_shared(Arc::clone(cache));
-        }
-        // Re-seat the virtual clock on the *run* identity: latency draws
-        // are pure in `(run seed, run_id, step)`, shared by all attempts,
-        // so a retried step replays its attempt's latency exactly.
-        model
-            .trace_mut()
-            .set_clock(VirtualClock::new(spec.seed, spec.run_id));
+        let mut model = attempt_model(spec, attempt, shared);
         let (mut result, ran_pure) = match &spec.hybrid {
             Some(_) => hybrid_attempt(spec, &cfg, &mut model, &mut faults_injected),
             None => (
@@ -119,32 +101,18 @@ pub fn execute_spec_shared(
             // attempt seed and a re-seated clock — byte-identical to the
             // attempt a hybrid-free spec would have executed, so hybrid
             // mode can only add successes, never remove them.
-            exec_steps += result.actions_attempted as u64;
-            vt_exec_us += model.trace().clock().now_us();
-            summary.merge(&model.trace().summary());
-            tokens.merge(model.meter());
-            events.extend(model.trace_mut().take_events());
-            model = spec
-                .profile
-                .instantiate(derive_seed(spec.seed, attempt as u64));
-            if let Some(cache) = shared {
-                model.attach_shared(Arc::clone(cache));
-            }
-            model
-                .trace_mut()
-                .set_clock(VirtualClock::new(spec.seed, spec.run_id));
+            books.bank(&mut model, &result);
+            model = attempt_model(spec, attempt, shared);
             model
                 .trace_mut()
                 .note("hybrid: bot attempt failed; rescuing with a full FM run");
             result = pure_attempt(spec, &cfg, &mut model, &mut faults_injected);
         }
-        exec_steps += result.actions_attempted as u64;
-        vt_exec_us += model.trace().clock().now_us();
-        summary.merge(&model.trace().summary());
-        tokens.merge(model.meter());
-        events.extend(model.trace_mut().take_events());
+        books.bank(&mut model, &result);
 
-        let over_budget = spec.token_budget.is_some_and(|b| tokens.total_tokens() > b);
+        let over_budget = spec
+            .token_budget
+            .is_some_and(|b| books.tokens.total_tokens() > b);
         let deadline_hit = spec
             .deadline_steps
             .is_some_and(|d| result.actions_attempted >= d);
@@ -177,7 +145,7 @@ pub fn execute_spec_shared(
         recoveries: 0,
         log: vec![],
     });
-    let cost_usd = tokens.cost_usd(pricing_for(spec.profile));
+    let cost_usd = books.tokens.cost_usd(pricing_for(spec.profile));
     let record = RunRecord {
         run_id: spec.run_id,
         task_id: spec.task.id.clone(),
@@ -187,18 +155,61 @@ pub fn execute_spec_shared(
         retries: attempts.saturating_sub(1),
         outcome,
         result,
-        summary,
-        tokens,
+        summary: books.summary,
+        tokens: books.tokens,
         cost_usd,
         faults_injected,
-        exec_steps,
+        exec_steps: books.exec_steps,
         backoff_steps,
-        latency_steps: exec_steps + backoff_steps,
-        vt_exec_us,
+        latency_steps: books.exec_steps + backoff_steps,
+        vt_exec_us: books.vt_exec_us,
         vt_backoff_us: backoff_steps * BACKOFF_STEP_US,
-        vt_total_us: vt_exec_us + backoff_steps * BACKOFF_STEP_US,
+        vt_total_us: books.vt_exec_us + backoff_steps * BACKOFF_STEP_US,
     };
-    (record, events)
+    (record, books.events)
+}
+
+/// What a run's attempts add up to.
+#[derive(Default)]
+struct Books {
+    exec_steps: u64,
+    vt_exec_us: u64,
+    summary: RunSummary,
+    tokens: TokenMeter,
+    events: Vec<TraceEvent>,
+}
+
+impl Books {
+    /// Bank a finished attempt: its steps, virtual time, trace rollup,
+    /// tokens and events.
+    fn bank(&mut self, model: &mut FmModel, result: &RunResult) {
+        self.exec_steps += result.actions_attempted as u64;
+        self.vt_exec_us += model.trace().clock().now_us();
+        self.summary.merge(&model.trace().summary());
+        self.tokens.merge(model.meter());
+        self.events.extend(model.trace_mut().take_events());
+    }
+}
+
+/// A fresh model for `attempt`, perceiving through `shared` when given.
+/// Its clock is re-seated on the *run* identity: latency draws are pure
+/// in `(run seed, run_id, step)`, shared by all attempts, so a retried
+/// step replays its attempt's latency exactly.
+fn attempt_model(
+    spec: &RunSpec,
+    attempt: u32,
+    shared: Option<&Arc<SharedPerceptCache>>,
+) -> FmModel {
+    let mut model = spec
+        .profile
+        .instantiate(derive_seed(spec.seed, attempt as u64));
+    if let Some(cache) = shared {
+        model.attach_shared(Arc::clone(cache));
+    }
+    model
+        .trace_mut()
+        .set_clock(VirtualClock::new(spec.seed, spec.run_id));
+    model
 }
 
 /// One pure-FM attempt: the executor against the task's fixture, wrapped

@@ -34,7 +34,6 @@ fn run_with_workers(workers: usize) -> FleetReport {
         queue_capacity: 2,
         retry: RetryPolicy::default(),
         fleet_seed: FLEET_SEED,
-        use_shared: true,
     });
     fleet.run(chaos_specs(FmProfile::Gpt4V)).expect("run")
 }

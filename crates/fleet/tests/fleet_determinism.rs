@@ -38,7 +38,6 @@ fn eight_workers_match_sequential_byte_for_byte() {
         queue_capacity: 4,
         retry: RetryPolicy::default(),
         fleet_seed: 2024,
-        use_shared: true,
     });
     let par = fleet.run(suite_specs(2024)).expect("parallel run");
     let seq = fleet

@@ -1,10 +1,10 @@
-//! The shared perception cache must be invisible everywhere except the
+//! The fleet's percept cache must be invisible everywhere except the
 //! quarantined counters: an 8-worker fleet with the shared cache and
 //! single-flight dedup produces byte-identical records JSON and merged
-//! trace JSONL to a sequential execution — and to a fleet with the
-//! shared layer off — across arbitrary seeds. Cross-run hits are real
-//! (replica specs, re-executed suites) but live only in `CacheStats` and
-//! the `shared.*` perf counters, never in a serialized artifact.
+//! trace JSONL to a sequential execution — and to an uncached fleet —
+//! across arbitrary seeds. Cross-run hits are real (replica specs,
+//! re-executed suites) but live only in `CacheStats` and the `shared.*`
+//! perf counters, never in a serialized artifact.
 
 use eclair_fleet::{specs_for_tasks, Fleet, FleetConfig, RunSpec};
 use eclair_fm::FmProfile;
@@ -18,13 +18,13 @@ const _: () = {
     assert_send_sync::<std::sync::Arc<eclair_fm::SharedPerceptCache>>();
 };
 
-fn fleet(seed: u64, workers: usize, shared: bool) -> Fleet {
-    Fleet::new(
-        FleetConfig::default()
-            .with_workers(workers)
-            .with_seed(seed)
-            .with_shared(shared),
-    )
+fn fleet(seed: u64, workers: usize) -> Fleet {
+    Fleet::new(FleetConfig::default().with_workers(workers).with_seed(seed))
+}
+
+/// The same specs with every cache off: the uncached reference.
+fn uncached(specs: Vec<RunSpec>) -> Vec<RunSpec> {
+    specs.into_iter().map(|s| s.with_cache(false)).collect()
 }
 
 fn small_specs(seed: u64, n: usize) -> Vec<RunSpec> {
@@ -53,16 +53,16 @@ fn replica_specs(seed: u64, n: usize) -> Vec<RunSpec> {
 
 proptest! {
     /// Byte-identity across arbitrary seeds: 8 workers + shared cache +
-    /// single-flight == sequential == shared-off, on records JSON and
+    /// single-flight == sequential == uncached, on records JSON and
     /// merged JSONL alike.
     #[test]
     fn shared_fleet_is_byte_identical_to_sequential_and_to_shared_off(
         seed in 0u64..1_000_000_000,
     ) {
-        let on = fleet(seed, 8, true);
+        let on = fleet(seed, 8);
         let par = on.run(small_specs(seed, 3)).expect("parallel");
         let seq = on.run_sequential(small_specs(seed, 3)).expect("sequential");
-        let off = fleet(seed, 8, false).run(small_specs(seed, 3)).expect("off");
+        let off = fleet(seed, 8).run(uncached(small_specs(seed, 3))).expect("off");
         prop_assert_eq!(par.outcome.to_json(), seq.outcome.to_json());
         prop_assert_eq!(par.outcome.to_json(), off.outcome.to_json());
         prop_assert_eq!(
@@ -78,20 +78,20 @@ proptest! {
 
 #[test]
 fn replica_runs_hit_the_shared_cache_without_changing_a_byte() {
-    let on = fleet(404, 8, true);
+    let on = fleet(404, 8);
     let par = on.run(replica_specs(404, 4)).expect("parallel");
     let stats = on.shared_cache().stats();
     assert!(
         stats.hits + stats.coalesced > 0,
         "identical-seed replicas must be served by the shared layer: {stats:?}"
     );
-    // A fresh shared-on fleet run sequentially, and a shared-off fleet,
-    // agree byte-for-byte — hits changed nothing observable.
-    let seq = fleet(404, 1, true)
+    // A fresh fleet run sequentially, and an uncached fleet, agree
+    // byte-for-byte — hits changed nothing observable.
+    let seq = fleet(404, 1)
         .run_sequential(replica_specs(404, 4))
         .expect("sequential");
-    let off_fleet = fleet(404, 8, false);
-    let off = off_fleet.run(replica_specs(404, 4)).expect("off");
+    let off_fleet = fleet(404, 8);
+    let off = off_fleet.run(uncached(replica_specs(404, 4))).expect("off");
     assert_eq!(par.outcome.to_json(), seq.outcome.to_json());
     assert_eq!(par.outcome.to_json(), off.outcome.to_json());
     assert_eq!(
@@ -105,7 +105,7 @@ fn replica_runs_hit_the_shared_cache_without_changing_a_byte() {
     assert_eq!(
         off_fleet.shared_cache().stats(),
         Default::default(),
-        "a shared-off fleet never touches its cache"
+        "an uncached fleet never touches its cache"
     );
 }
 
@@ -114,7 +114,7 @@ fn the_cache_persists_across_fleet_invocations() {
     // Cross-run redundancy lives *between* invocations: the same Fleet
     // executing the same suite twice serves the second pass from the
     // shards the first pass filled.
-    let f = fleet(777, 2, true);
+    let f = fleet(777, 2);
     let a = f.run(small_specs(777, 4)).expect("first pass");
     let misses_after_first = f.shared_cache().stats().misses;
     let b = f.run(small_specs(777, 4)).expect("second pass");
@@ -134,7 +134,7 @@ fn the_cache_persists_across_fleet_invocations() {
 #[test]
 fn shared_counters_are_quarantined_from_serialized_artifacts() {
     eclair_trace::perf::reset();
-    let f = fleet(55, 1, true);
+    let f = fleet(55, 1);
     // Two sequential passes on one thread: guaranteed shared hits, and
     // the perf counters all land on this thread where we can read them.
     let _ = f.run_sequential(replica_specs(55, 2)).expect("pass one");
@@ -165,22 +165,4 @@ fn shared_counters_are_quarantined_from_serialized_artifacts() {
             "merged trace must not leak `{needle}`"
         );
     }
-}
-
-#[test]
-fn per_spec_opt_out_bypasses_the_shared_layer() {
-    let f = fleet(909, 1, true);
-    let specs: Vec<RunSpec> = replica_specs(909, 2)
-        .into_iter()
-        .map(|s| s.with_shared(false))
-        .collect();
-    let report = f.run_sequential(specs).expect("run");
-    assert!(report.outcome.records.iter().all(|r| r.attempts > 0));
-    let stats = f.shared_cache().stats();
-    assert_eq!(
-        (stats.hits, stats.misses, stats.coalesced),
-        (0, 0, 0),
-        "opted-out specs must never reach the shared shards"
-    );
-    assert!(f.shared_cache().is_empty());
 }

@@ -21,16 +21,16 @@ use crate::prompt::Prompt;
 use crate::sampling::{judge_ensemble, Judgment, Sampling};
 use crate::tokens::TokenMeter;
 
-/// The full purity tuple a percept is keyed by, in any cache, local or
-/// shared: `(model seed, profile fingerprint, frame hash)`. Perception is
-/// a pure function of exactly this tuple — keying on anything less (the
-/// old memo used the bare frame hash) cross-serves percepts the moment a
-/// cache is shared between models with different seeds or profiles.
+/// The full purity tuple a percept is keyed by, in any cache:
+/// `(model seed, profile fingerprint, frame hash)`. Perception is a pure
+/// function of exactly this tuple — keying on anything less (the bare
+/// frame hash, say) cross-serves percepts the moment a cache is shared
+/// between models with different seeds or profiles.
 pub type PerceptKey = (u64, u64, u64);
 
-/// A fleet-wide shared percept cache: every worker and every run of a
-/// fleet may hold a handle to the same instance (see `eclair-shared` for
-/// the lock-striping and single-flight protocol).
+/// A percept cache: a model's private one, or a fleet's, which every
+/// worker and run of the fleet holds (see `eclair-shared` for the
+/// lock-striping and single-flight protocol).
 pub type SharedPerceptCache = ShardedCache<PerceptKey, ScenePercept>;
 
 /// Build a shared percept cache at the fleet default geometry: 16 lock
@@ -65,8 +65,8 @@ pub struct FmModel {
     meter: TokenMeter,
     sampling: Sampling,
     trace: TraceRecorder,
-    /// Whether perception memoization is on (`ECLAIR_NO_CACHE=1` turns it
-    /// off globally). Flipping it must be unobservable outside
+    /// Whether `perceive` consults the percept cache (`ECLAIR_NO_CACHE=1`
+    /// turns it off globally). Flipping it must be unobservable outside
     /// `eclair_trace::perf`.
     cache_enabled: bool,
     /// FNV-1a fingerprint of the full profile (its `Debug` rendering, a
@@ -75,18 +75,18 @@ pub struct FmModel {
     /// key separately. Filled by the first [`Self::perceive`]; the
     /// profile never changes after construction.
     profile_fp: Option<u64>,
-    /// Bounded memo of perception results keyed by the full purity tuple.
-    percept_memo: std::collections::HashMap<PerceptKey, ScenePercept>,
-    /// Insertion order of `percept_memo` keys, for eviction.
-    percept_order: std::collections::VecDeque<PerceptKey>,
-    /// Fleet-wide shared cache, consulted when the per-instance memo
-    /// misses. `None` outside a fleet or under `ECLAIR_NO_CACHE=1`.
-    shared: Option<Arc<SharedPerceptCache>>,
+    /// The one percept cache `perceive` looks up: a private one-stripe
+    /// cache from construction, or the fleet's once
+    /// [`Self::attach_shared`] swaps it in.
+    percepts: Arc<SharedPerceptCache>,
+    /// Whether `percepts` is a fleet's cache: its lookups also count in
+    /// the `shared_*` perf counters.
+    shared: bool,
 }
 
-/// Most perception results kept in the memo. Executors revisit a handful
-/// of frames per task (probe loops, validators re-reading the screen);
-/// the cap just bounds memory on long sessions.
+/// Most percepts a model's private cache keeps (FIFO). Executors revisit
+/// a handful of frames per task (probe loops, validators re-reading the
+/// screen); the cap just bounds memory on long sessions.
 const PERCEPT_MEMO_CAP: usize = 64;
 
 /// SplitMix64 finalizer-style mixer (same construction as
@@ -126,40 +126,27 @@ impl FmModel {
             trace,
             cache_enabled: !eclair_gui::no_cache_env(),
             profile_fp: None,
-            percept_memo: std::collections::HashMap::new(),
-            percept_order: std::collections::VecDeque::new(),
-            shared: None,
+            percepts: Arc::new(ShardedCache::new(1, PERCEPT_MEMO_CAP)),
+            shared: false,
         }
     }
 
-    /// Turn perception memoization on or off for this model instance.
-    ///
-    /// Flipping drops only *this instance's* pins (its local memo); a
-    /// shared cache attached via [`Self::attach_shared`] is untouched —
-    /// other workers' entries, and even this model's own published
-    /// percepts, stay resident in the global shards.
+    /// Turn the percept cache on or off for this model instance. Off,
+    /// `perceive` bypasses it; flipping never clears it, so whatever it
+    /// holds serves again once the cache is back on.
     pub fn set_cache_enabled(&mut self, on: bool) {
-        if self.cache_enabled != on {
-            self.cache_enabled = on;
-            self.percept_memo.clear();
-            self.percept_order.clear();
-        }
+        self.cache_enabled = on;
     }
 
-    /// Attach a fleet-wide shared percept cache. Consulted after the
-    /// per-instance memo, before the full perception pass. Under the
-    /// `ECLAIR_NO_CACHE=1` kill switch this is a no-op: the shared layer
-    /// is bypassed entirely, not merely disabled.
+    /// Perceive through a fleet's percept cache instead of this model's
+    /// private one. Under the `ECLAIR_NO_CACHE=1` kill switch this is a
+    /// no-op: the fleet's cache is never installed, not merely disabled.
     pub fn attach_shared(&mut self, cache: Arc<SharedPerceptCache>) {
         if eclair_gui::no_cache_env() {
             return;
         }
-        self.shared = Some(cache);
-    }
-
-    /// The attached shared percept cache, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedPerceptCache>> {
-        self.shared.as_ref()
+        self.percepts = cache;
+        self.shared = true;
     }
 
     /// The model's capability profile.
@@ -191,7 +178,7 @@ impl FmModel {
         // Advance simulated time before emitting, so the event is stamped
         // with the post-call clock. Decode dominates real FM latency,
         // hence the 4× completion weight. This is the single advance
-        // point for FM work: a memoized perception accounts the same
+        // point for FM work: a cached perception accounts the same
         // tokens as the recompute, so the clock stays cache-transparent.
         let kind = if purpose == "perceive" {
             CostKind::Perceive
@@ -237,13 +224,14 @@ impl FmModel {
     /// `(model seed, profile, frame hash)` — never from the model's main
     /// RNG — so perceiving the same frame twice yields the same percept
     /// and perturbs nothing downstream. That purity is what licenses the
-    /// bounded memo *and* the fleet-wide shared cache behind it: a hit at
-    /// either layer returns the stored percept *and accounts the exact
-    /// tokens the recompute would have*, keeping the meter and the trace
-    /// byte-identical with both caches off. The tokens a provider-side
+    /// percept cache, private or a fleet's: whatever any model stored
+    /// under the key is exactly what this one would compute. A hit
+    /// returns the stored percept *and accounts the exact tokens the
+    /// recompute would have*, keeping the meter and the trace
+    /// byte-identical with the cache off. The tokens a provider-side
     /// cache would have saved are reported only through the quarantined
-    /// `eclair_trace::perf` counters (`cached_tokens` for the memo,
-    /// `shared_cached_tokens` for the shared layer).
+    /// `eclair_trace::perf` counters (`cached_tokens`, and
+    /// `shared_cached_tokens` for lookups on a fleet's cache).
     pub fn perceive(&mut self, shot: &Screenshot) -> ScenePercept {
         let frame = shot.frame_hash();
         let profile_fp = *self
@@ -251,69 +239,42 @@ impl FmModel {
             .get_or_insert_with(|| fnv_str(&format!("{:?}", self.profile)));
         let key: PerceptKey = (self.seed, profile_fp, frame);
         let prompt_tokens = 85 + 4 * shot.items.len() as u64;
-        if self.cache_enabled {
-            if let Some(percept) = self.percept_memo.get(&key).cloned() {
-                let completion_tokens = 2 + 4 * percept.elements.len() as u64;
-                self.account("perceive", prompt_tokens, completion_tokens);
-                eclair_trace::perf::record(|c| {
-                    c.perceive_memo_hits += 1;
-                    c.cached_tokens += prompt_tokens + completion_tokens;
-                });
-                return percept;
-            }
-            eclair_trace::perf::record(|c| c.perceive_memo_misses += 1);
-        }
-        // L2: the fleet-wide shared cache. Because the key carries the
-        // full purity tuple, whatever any worker published under it is
-        // exactly what this model would compute — and single-flight means
-        // concurrent identical requests run the perception pass once.
-        let percept = match (self.cache_enabled, self.shared.clone()) {
-            (true, Some(shared)) => {
-                let (seed, profile) = (self.seed, &self.profile);
-                let (percept, outcome) = shared.get_or_compute(key, || {
-                    let stream_seed = mix(mix(seed, fnv_str(&profile.name)), frame);
-                    perceive(shot, profile, &mut StdRng::seed_from_u64(stream_seed))
-                });
-                let completion_tokens = 2 + 4 * percept.elements.len() as u64;
-                eclair_trace::perf::record(|c| match outcome {
-                    Outcome::Hit => {
-                        c.shared_hits += 1;
-                        c.shared_cached_tokens += prompt_tokens + completion_tokens;
-                    }
-                    Outcome::Coalesced => {
-                        c.single_flight_waits += 1;
-                        c.shared_cached_tokens += prompt_tokens + completion_tokens;
-                    }
-                    Outcome::Computed { evicted } => {
-                        c.shared_misses += 1;
-                        if evicted {
-                            c.shared_evictions += 1;
-                        }
-                    }
-                });
-                percept
-            }
-            _ => {
-                let stream_seed = mix(mix(self.seed, fnv_str(&self.profile.name)), frame);
-                let mut stream = StdRng::seed_from_u64(stream_seed);
-                perceive(shot, &self.profile, &mut stream)
-            }
+        let (seed, profile) = (self.seed, &self.profile);
+        let compute = || {
+            let stream_seed = mix(mix(seed, fnv_str(&profile.name)), frame);
+            perceive(shot, profile, &mut StdRng::seed_from_u64(stream_seed))
         };
-        self.account(
-            "perceive",
-            prompt_tokens,
-            2 + 4 * percept.elements.len() as u64,
-        );
-        if self.cache_enabled {
-            if self.percept_memo.len() >= PERCEPT_MEMO_CAP {
-                if let Some(oldest) = self.percept_order.pop_front() {
-                    self.percept_memo.remove(&oldest);
-                }
-            }
-            if self.percept_memo.insert(key, percept.clone()).is_none() {
-                self.percept_order.push_back(key);
-            }
+        if !self.cache_enabled {
+            let percept = compute();
+            self.account(
+                "perceive",
+                prompt_tokens,
+                2 + 4 * percept.elements.len() as u64,
+            );
+            return percept;
         }
+        let (percept, outcome) = self.percepts.get_or_compute(key, compute);
+        let completion_tokens = 2 + 4 * percept.elements.len() as u64;
+        self.account("perceive", prompt_tokens, completion_tokens);
+        eclair_trace::perf::record(|c| {
+            if let Outcome::Computed { evicted } = outcome {
+                c.perceive_memo_misses += 1;
+                if self.shared {
+                    c.shared_misses += 1;
+                    c.shared_evictions += evicted as u64;
+                }
+                return;
+            }
+            c.perceive_memo_hits += 1;
+            c.cached_tokens += prompt_tokens + completion_tokens;
+            if self.shared {
+                match outcome {
+                    Outcome::Hit => c.shared_hits += 1,
+                    _ => c.single_flight_waits += 1,
+                }
+                c.shared_cached_tokens += prompt_tokens + completion_tokens;
+            }
+        });
         percept
     }
 
@@ -471,7 +432,7 @@ mod tests {
         let (off1, off2, off_meter, off_trace) = run(false);
         assert_eq!(on1, off1);
         assert_eq!(on2, off2);
-        assert_eq!(on_meter, off_meter, "memo hits account identical tokens");
+        assert_eq!(on_meter, off_meter, "cache hits account identical tokens");
         assert_eq!(on_trace, off_trace, "trace bytes identical either way");
         let c = eclair_trace::perf::snapshot();
         assert_eq!(c.perceive_memo_hits, 1, "second cache-on perceive hit");
@@ -521,8 +482,8 @@ mod tests {
             (p, *m.meter(), m.trace().to_jsonl())
         };
         let (miss_p, miss_meter, miss_trace) = run(true); // populates the shard
-        let (hit_p, hit_meter, hit_trace) = run(true); // fresh instance: memo cold, shared hot
-        let (off_p, off_meter, off_trace) = run(false); // no shared layer at all
+        let (hit_p, hit_meter, hit_trace) = run(true); // fresh instance, the shard is hot
+        let (off_p, off_meter, off_trace) = run(false); // a private cache, cold
         assert_eq!(miss_p, hit_p);
         assert_eq!(hit_p, off_p);
         assert_eq!(
@@ -540,24 +501,49 @@ mod tests {
     }
 
     #[test]
-    fn cache_flip_drops_instance_pins_but_not_the_global_shard() {
+    fn cache_flip_never_clears_the_cache() {
         eclair_trace::perf::reset();
         let s = shot();
         let cache = shared_percept_cache();
-        let mut m = FmModel::new(ModelProfile::gpt4v(), 47);
-        m.attach_shared(Arc::clone(&cache));
-        let first = m.perceive(&s); // computes, pins locally + publishes globally
-        m.set_cache_enabled(false);
-        m.set_cache_enabled(true);
-        assert_eq!(cache.len(), 1, "flip must not clear the global shard");
-        let second = m.perceive(&s);
-        assert_eq!(first, second);
+        let mut fleet_model = FmModel::new(ModelProfile::gpt4v(), 47);
+        fleet_model.attach_shared(Arc::clone(&cache));
+        let mut private_model = FmModel::new(ModelProfile::gpt4v(), 47);
+        for m in [&mut fleet_model, &mut private_model] {
+            let first = m.perceive(&s); // computes into the cache
+            m.set_cache_enabled(false);
+            assert_eq!(m.perceive(&s), first, "bypassed: no lookup");
+            m.set_cache_enabled(true);
+            assert_eq!(m.perceive(&s), first, "served from the cache");
+        }
+        assert_eq!(cache.len(), 1, "the flip left the fleet's entry resident");
         let c = eclair_trace::perf::snapshot();
-        assert_eq!(
-            (c.perceive_memo_hits, c.shared_hits),
-            (0, 1),
-            "after the flip the local pins are gone but the shard serves"
-        );
+        assert_eq!((c.perceive_memo_hits, c.perceive_memo_misses), (2, 2));
+        assert_eq!((c.shared_hits, c.shared_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_standalone_model_keeps_its_last_64_percepts() {
+        // FIFO over 64: the first frame is still resident after 63 other
+        // distinct frames, and recomputed after 64.
+        let shots: Vec<Screenshot> = (0..65)
+            .map(|i| {
+                let mut b = PageBuilder::new("m", "/m");
+                b.button("ok", format!("Confirm order {i}"));
+                b.finish().screenshot_at(0)
+            })
+            .collect();
+        let revisit_after = |others: usize| {
+            let mut m = FmModel::new(ModelProfile::gpt4v(), 3);
+            for s in &shots[..=others] {
+                m.perceive(s);
+            }
+            eclair_trace::perf::reset();
+            m.perceive(&shots[0]);
+            let c = eclair_trace::perf::snapshot();
+            (c.perceive_memo_hits, c.perceive_memo_misses)
+        };
+        assert_eq!(revisit_after(63), (1, 0), "a hit");
+        assert_eq!(revisit_after(64), (0, 1), "a recompute");
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl Screenshot {
     /// state (chrome, geometry, visual class, text, styling) feeds the
     /// digest, so two frames hash equal iff they would rasterize to the
     /// same pixels. This is the content-address the session frame cache and
-    /// the perception memo key on.
+    /// the percept cache key on.
     ///
     /// Deliberately hashes item text *bytes*, never interned `Sym` ids:
     /// the hash seeds simulated FM perception, so it must be identical

@@ -15,7 +15,7 @@ use crate::VIEWPORT;
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, the layout cache, and perception memoization
+/// off the frame cache, the layout cache, and the percept cache
 /// everywhere. The cache-transparency invariant says flipping this must
 /// not change a single serialized byte.
 pub fn no_cache_env() -> bool {

@@ -1,7 +1,8 @@
 //! The lock-striped map and its single-flight protocol.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::stats::{CacheStats, StatsSnapshot};
@@ -27,9 +28,10 @@ pub enum Outcome {
 
 /// What a single-flight slot currently holds.
 enum FlightState<V> {
-    /// The leader is still computing.
+    /// The leader is still computing, or published with no waiter left
+    /// to read the value.
     Pending,
-    /// The leader published; waiters clone this.
+    /// The leader published to its waiters; they clone this.
     Ready(V),
     /// The leader's computation unwound (panicked) before publishing.
     /// One waiter is promoted to leader and recomputes.
@@ -62,23 +64,28 @@ impl<K: Eq + Hash, V> Drop for FlightGuard<'_, K, V> {
     }
 }
 
+/// The maps' hasher: the fixed-key SipHash that picks the stripe, so
+/// whether a full table rehashes in place or reallocates (and thus the
+/// allocation count) repeats across processes. Keys are the caller's own
+/// hashes, not outside input.
+type FixedState = BuildHasherDefault<DefaultHasher>;
+
 /// One stripe of the cache: resident values, their insertion order (the
-/// FIFO eviction queue — deliberately the same pattern as the percept
-/// memo, and deliberately *not* a wholesale `clear()` at capacity, the
-/// hit-rate cliff this PR fixes in the GUI frame cache), and the keys
-/// currently being computed.
+/// FIFO eviction queue — deliberately *not* a wholesale `clear()` at
+/// capacity, the hit-rate cliff the GUI frame cache used to have), and
+/// the keys currently being computed.
 struct Shard<K, V> {
-    map: HashMap<K, V>,
+    map: HashMap<K, V, FixedState>,
     order: VecDeque<K>,
-    inflight: HashMap<K, Arc<Flight<V>>>,
+    inflight: HashMap<K, Arc<Flight<V>>, FixedState>,
 }
 
 impl<K, V> Shard<K, V> {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
         }
     }
 }
@@ -131,7 +138,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     fn shard_for(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
@@ -167,8 +174,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// publishes and share its value (`Coalesced`) — the simulated FM is
     /// never asked twice for one in-flight key. Otherwise this call
     /// becomes the leader: it computes *outside* the shard lock, inserts
-    /// the value (evicting the shard's oldest entry at capacity), wakes
-    /// every waiter, and reports `Computed`.
+    /// the value (evicting the shard's oldest entry at capacity), hands
+    /// it to every waiter, and reports `Computed`. A miss nobody waited
+    /// on clones the value once, into the shard.
     ///
     /// `compute` must be a pure function of `key` — that purity is what
     /// makes hit/coalesce/compute unobservable in the returned value. If
@@ -230,9 +238,13 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             published: false,
         };
         let value = compute();
-        let evicted = {
+        let (evicted, waited_on) = {
             let mut guard = shard.lock().unwrap();
             guard.inflight.remove(&key);
+            // Out of `inflight` under the lock, the flight gains no more
+            // waiters: beyond this frame's handle and the guard's, every
+            // reference is a waiter blocked until publication.
+            let waited_on = Arc::strong_count(&flight) > 2;
             let mut evicted = false;
             if guard.map.len() >= self.cap_per_shard {
                 if let Some(oldest) = guard.order.pop_front() {
@@ -244,10 +256,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             if guard.map.insert(key.clone(), value.clone()).is_none() {
                 guard.order.push_back(key.clone());
             }
-            evicted
+            (evicted, waited_on)
         };
-        *flight.state.lock().unwrap() = FlightState::Ready(value.clone());
-        flight.ready.notify_all();
+        if waited_on {
+            *flight.state.lock().unwrap() = FlightState::Ready(value.clone());
+            flight.ready.notify_all();
+        }
         cleanup.published = true;
         CacheStats::bump(&self.stats.misses);
         (value, Outcome::Computed { evicted })
@@ -269,6 +283,25 @@ mod tests {
         assert_eq!(c.peek(&2), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.coalesced, s.evictions), (1, 1, 0, 0));
+    }
+
+    #[test]
+    fn an_unwaited_miss_clones_the_value_once() {
+        use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+        /// A value that counts its clones.
+        struct Counted(Arc<AtomicU64>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.fetch_add(1, SeqCst);
+                Counted(Arc::clone(&self.0))
+            }
+        }
+        let clones = Arc::new(AtomicU64::new(0));
+        let c: ShardedCache<u64, Counted> = ShardedCache::new(1, 4);
+        c.get_or_compute(1, || Counted(Arc::clone(&clones)));
+        assert_eq!(clones.load(SeqCst), 1, "into the shard, not the flight");
+        c.get_or_compute(1, || unreachable!("resident"));
+        assert_eq!(clones.load(SeqCst), 2, "a hit clones once");
     }
 
     #[test]

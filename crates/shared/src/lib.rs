@@ -2,14 +2,15 @@
 //!
 //! Fleet-wide shared caches with single-flight deduplication.
 //!
-//! The perception memo introduced with the PR 5 caching layer is
-//! per-model-instance: every fleet run instantiates a fresh `FmModel`,
-//! so identical frames perceived by *different* runs always miss. Since
-//! perception is a pure function of `(model seed, profile, frame hash)`,
-//! a cache keyed on that full tuple can safely be shared by every worker
-//! and every run of a fleet — and by *successive* fleet invocations,
-//! which is where the cross-run redundancy actually lives (re-executed
-//! suites, retry rescues, metamorphic ladders re-running the same seeds).
+//! A model's private percept cache dies with it: every fleet run
+//! instantiates a fresh `FmModel`, so identical frames perceived by
+//! *different* runs would always miss. Since perception is a pure
+//! function of `(model seed, profile, frame hash)`, a cache keyed on that
+//! full tuple can safely be shared by every worker and every run of a
+//! fleet — and by *successive* fleet invocations, which is where the
+//! cross-run redundancy actually lives (re-executed suites, retry
+//! rescues, metamorphic ladders re-running the same seeds). The same
+//! type, at one stripe, is each model's private cache.
 //!
 //! [`ShardedCache`] is the substrate: a generic, lock-striped map with
 //! FIFO per-shard eviction and a **single-flight** layer that dedupes

@@ -50,30 +50,32 @@ pub struct PerfCounters {
     /// This is a gauge, not a sum: [`merge`](Self::merge) takes the max so
     /// fleet-merged snapshots still report the true table size.
     pub intern_table_size: u64,
-    /// `FmModel::perceive` calls answered from the perception memo.
+    /// Percept-cache lookups that `FmModel::perceive` answered without
+    /// recomputing (hits and single-flight coalesces), on the model's
+    /// private cache or a fleet's. The name predates the one cache.
     pub perceive_memo_hits: u64,
-    /// `FmModel::perceive` calls that ran the full perception pass.
+    /// Percept-cache lookups that ran the full perception pass.
     pub perceive_memo_misses: u64,
     /// Tokens that a provider-side cache would have served from cache
-    /// (the accounted tokens of every memoized `perceive` hit). Reported
-    /// here — not in the meter — because the deterministic accounting
-    /// must stay identical with the cache off.
+    /// (the accounted tokens of every `perceive_memo_hits` lookup).
+    /// Reported here — not in the meter — because the deterministic
+    /// accounting must stay identical with the cache off.
     pub cached_tokens: u64,
-    /// `FmModel::perceive` calls answered by the fleet-wide shared cache
-    /// (the per-instance memo missed; the global shard had the percept).
+    /// The subset of `perceive_memo_hits` made on a fleet's percept cache
+    /// and found resident.
     pub shared_hits: u64,
-    /// Shared-cache lookups that computed the percept (this call was the
-    /// single-flight leader, or nothing was in flight for the key).
+    /// The subset of `perceive_memo_misses` made on a fleet's percept
+    /// cache (this call was the single-flight leader, or nothing was in
+    /// flight for the key).
     pub shared_misses: u64,
-    /// Shared-cache insertions that evicted another run's entry (FIFO
-    /// per shard at capacity).
+    /// Fleet-cache insertions that evicted an older entry (FIFO per shard
+    /// at capacity).
     pub shared_evictions: u64,
-    /// Lookups that blocked behind another worker's in-flight perception
-    /// of the same key and shared its value (single-flight coalesces).
+    /// The subset of `perceive_memo_hits` made on a fleet's percept cache
+    /// that blocked behind another worker's in-flight perception of the
+    /// same key and shared its value (single-flight coalesces).
     pub single_flight_waits: u64,
-    /// Tokens the shared layer served without recomputation (accounted
-    /// tokens of every shared hit + coalesce). Quarantined here for the
-    /// same reason as `cached_tokens`.
+    /// The subset of `cached_tokens` served by a fleet's percept cache.
     pub shared_cached_tokens: u64,
     /// Log lines produced by `render_log` since the last reset.
     pub log_events_rendered: u64,
@@ -91,14 +93,15 @@ impl PerfCounters {
         rate(self.frame_cache_hits, self.frame_cache_misses)
     }
 
-    /// Perception memo hit rate in [0, 1]; 0 when no perceives happened.
+    /// Percept-cache hit rate in [0, 1], counting coalesces as hits; 0
+    /// when no lookups happened.
     pub fn perceive_memo_rate(&self) -> f64 {
         rate(self.perceive_memo_hits, self.perceive_memo_misses)
     }
 
-    /// Shared-cache hit rate in [0, 1], counting single-flight coalesces
-    /// as hits (they did not recompute); 0 when the shared layer saw no
-    /// lookups.
+    /// Fleet-cache hit rate in [0, 1], counting single-flight coalesces
+    /// as hits (they did not recompute); 0 when no lookup was made on a
+    /// fleet's cache.
     pub fn shared_rate(&self) -> f64 {
         rate(
             self.shared_hits + self.single_flight_waits,

@@ -34,7 +34,6 @@ fn canonical() -> Scenario {
         max_attempts: 2,
         workers: 1,
         use_cache: true,
-        use_shared: true,
     }
 }
 

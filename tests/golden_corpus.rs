@@ -41,7 +41,6 @@ fn corpus() -> Vec<(&'static str, Scenario)> {
         max_attempts: 1,
         workers: 1,
         use_cache: true,
-        use_shared: true,
     };
     vec![
         (
