@@ -181,8 +181,8 @@ impl<'a> IntoIterator for &'a ChildVec {
 }
 
 impl Serialize for ChildVec {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(|id| id.to_value()).collect())
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 

@@ -89,14 +89,18 @@ pub struct Screenshot {
 // derive's field-order map, minus the hash memo — a deserialized frame
 // re-earns its hash on first use.
 impl Serialize for Screenshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("viewport"), self.viewport.to_value()),
-            (String::from("url"), self.url.to_value()),
-            (String::from("title"), self.title.to_value()),
-            (String::from("scroll_y"), self.scroll_y.to_value()),
-            (String::from("items"), self.items.to_value()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"viewport\":");
+        self.viewport.write_json(out);
+        out.push_str(",\"url\":");
+        self.url.write_json(out);
+        out.push_str(",\"title\":");
+        self.title.write_json(out);
+        out.push_str(",\"scroll_y\":");
+        self.scroll_y.write_json(out);
+        out.push_str(",\"items\":");
+        self.items.write_json(out);
+        out.push('}');
     }
 }
 

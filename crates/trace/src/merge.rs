@@ -96,7 +96,7 @@ where
 
 /// Serialize a merged stream as JSON Lines (same format as
 /// [`crate::TraceRecorder::to_jsonl`]): one pre-sized output buffer, no
-/// per-event `String`.
+/// per-event allocation.
 pub fn merged_jsonl(events: &[TraceEvent]) -> Result<String, MergeError> {
     crate::recorder::events_to_jsonl(events)
         .map_err(|(seq, message)| MergeError::Serialize { seq, message })

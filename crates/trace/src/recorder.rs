@@ -148,8 +148,9 @@ impl TraceRecorder {
     }
 
     /// Serialize the whole trace as JSON Lines (one event per line).
-    /// Events serialize straight into one pre-sized output buffer — no
-    /// per-event `String` on this hot path (see `perf` counters).
+    /// Events are written straight into one pre-sized output buffer, so
+    /// the export allocates nothing per event: only that buffer and its
+    /// growth (see `perf` counters and `tests/export_allocs.rs`).
     pub fn to_jsonl(&self) -> String {
         events_to_jsonl(&self.events).expect("trace events serialize")
     }
@@ -193,9 +194,11 @@ pub fn render_log(events: &[TraceEvent]) -> Vec<String> {
     out
 }
 
-/// Serialize an event stream as JSON Lines into one pre-sized buffer —
-/// events append through `serde_json::to_string_into`, so no per-event
-/// output `String` is allocated. Errors carry the failing event's `seq`.
+/// Serialize an event stream as JSON Lines into one pre-sized buffer.
+/// Each event's `Serialize` impl appends its JSON text to the buffer
+/// directly (`serde_json::to_string_into`), with no intermediate value
+/// tree, so the only allocations are the buffer and its growth. Errors
+/// carry the failing event's `seq`.
 pub(crate) fn events_to_jsonl(events: &[TraceEvent]) -> Result<String, (u64, String)> {
     let mut buf = String::with_capacity(events.len() * 96);
     for e in events {
@@ -350,6 +353,30 @@ mod tests {
         // Blank lines are skipped but still counted for line numbers.
         let err = read_jsonl("\n\nnot-json\n").unwrap_err();
         assert!(err.starts_with("bad trace line 3:"), "{err}");
+    }
+
+    #[test]
+    fn read_jsonl_rejects_a_broken_surrogate_pair_with_its_line() {
+        let mut t = TraceRecorder::new();
+        t.note("ok");
+        let good = t.to_jsonl();
+        // A high surrogate whose partner is not a low one: an error naming
+        // the line, never an overflow panic or a wrong character.
+        for bad in [r"\ud800\u0041", r"\ud800\ud800", r"\ud800\uffff"] {
+            let line =
+                format!(r#"{{"seq":1,"parent":0,"vt":0,"kind":{{"Note":{{"text":"{bad}"}}}}}}"#);
+            let err = read_jsonl(&format!("{good}{line}\n")).unwrap_err();
+            assert!(err.starts_with("bad trace line 2:"), "{err}");
+            assert!(err.contains("not a low surrogate"), "{err}");
+        }
+        let pair = r#"{"seq":1,"parent":0,"vt":0,"kind":{"Note":{"text":"\ud83d\ude00"}}}"#;
+        let back = read_jsonl(&format!("{good}{pair}")).unwrap();
+        assert_eq!(
+            back[1].kind,
+            EventKind::Note {
+                text: "\u{1F600}".into()
+            }
+        );
     }
 
     #[test]
