@@ -227,7 +227,7 @@ fn drift_epochs() -> (Vec<EpochRow>, Result<(), String>) {
             let mut session = task.site.launch_with_theme(theme.clone());
             let report = run_hybrid_on_session(&mut model, &mut session, &mut script, &cfg);
             let ok = task.success.evaluate(&session);
-            (report.drifts, model.meter().total_tokens(), ok)
+            (report.drifts() as u64, model.meter().total_tokens(), ok)
         };
         let (first_drifts, first_tokens, ok1) = run(1_000 + e as u64);
         let (second_drifts, second_tokens, ok2) = run(2_000 + e as u64);

@@ -94,9 +94,6 @@ impl Eclair {
             sop: Some(sop),
             strategy: self.config.strategy,
             max_steps: 0,
-            retry_failed: true,
-            escape_popups: true,
-            relogin_expired: true,
             use_cache: true,
         }
         .budgeted(task.gold_trace.len());

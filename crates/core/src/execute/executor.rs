@@ -25,14 +25,6 @@ pub struct ExecConfig {
     pub strategy: GroundingStrategy,
     /// Hard budget on suggested actions.
     pub max_steps: usize,
-    /// Retry a failed action once after re-grounding.
-    pub retry_failed: bool,
-    /// Press Escape when an unexpected modal blocks progress (the paper's
-    /// "common sense to error correct").
-    pub escape_popups: bool,
-    /// Click through a login interstitial when the session expires
-    /// mid-run (the chaos layer's session-expiry fault).
-    pub relogin_expired: bool,
     /// Whether the caching layer (frame cache, layout cache, percept
     /// cache — a fleet's included) runs underneath this execution. Combined with the
     /// `ECLAIR_NO_CACHE=1` kill switch; flipping either must not change a
@@ -46,12 +38,7 @@ impl ExecConfig {
     pub fn with_sop(sop: Sop) -> Self {
         Self {
             sop: Some(sop),
-            strategy: GroundingStrategy::SomHtml,
-            max_steps: 24,
-            retry_failed: true,
-            escape_popups: true,
-            relogin_expired: true,
-            use_cache: true,
+            ..Self::without_sop()
         }
     }
 
@@ -61,9 +48,6 @@ impl ExecConfig {
             sop: None,
             strategy: GroundingStrategy::SomHtml,
             max_steps: 24,
-            retry_failed: true,
-            escape_popups: true,
-            relogin_expired: true,
             use_cache: true,
         }
     }
@@ -95,6 +79,21 @@ pub struct RunResult {
     pub log: Vec<String>,
 }
 
+/// How one step's body went, as [`drive`] counts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepOutcome {
+    /// Nothing left to do: the run ends without attempting an action.
+    Exhausted,
+    /// The action landed on its first try.
+    Landed,
+    /// The action failed, then landed on its in-step retry or repair.
+    Recovered,
+    /// The action failed and stayed failed; the run goes on.
+    Failed,
+    /// The action failed and stayed failed; the run ends here.
+    Aborted,
+}
+
 /// Run a task autonomously. The session is created fresh from the task's
 /// site fixture; `model` provides all perception/grounding/noise.
 pub fn run_task(model: &mut FmModel, task: &TaskSpec, cfg: &ExecConfig) -> RunResult {
@@ -106,14 +105,25 @@ pub fn run_task(model: &mut FmModel, task: &TaskSpec, cfg: &ExecConfig) -> RunRe
     }
 }
 
-/// Run against an existing surface (used by the agent orchestrator, the
-/// drift studies, and the chaos harness). `success` in the result is left
-/// `false`; callers check their own predicate.
-pub fn run_on_session<S: GuiSurface>(
+/// The step loop every run shares, whatever proposes its steps: the FM
+/// loop of [`run_on_session`] and the compiled bots of `eclair-hybrid`.
+///
+/// It resolves the cache switch, opens the `Execute` span (labelled
+/// `label`) and one `Step` span per step, re-anchors the virtual clock and
+/// charges `step_cost` at each step, records the faults a perturbing
+/// surface injected, re-logs-in after a session expiry, and counts
+/// attempts, failures and recoveries. `body` performs the step: it is
+/// given the number of actions already attempted. The run ends after
+/// `max_steps` actions, or when `body` reports [`StepOutcome::Exhausted`]
+/// or [`StepOutcome::Aborted`]. `success` in the result is left `false`.
+pub fn drive<S: GuiSurface>(
     model: &mut FmModel,
     session: &mut S,
-    workflow_description: &str,
     cfg: &ExecConfig,
+    label: &str,
+    max_steps: usize,
+    step_cost: CostKind,
+    mut body: impl FnMut(&mut FmModel, &mut S, usize) -> StepOutcome,
 ) -> RunResult {
     // Resolve the caching layer once per run: the per-run config AND the
     // global kill switch must both allow it. Transparency means this is
@@ -122,21 +132,13 @@ pub fn run_on_session<S: GuiSurface>(
     let cache_on = cfg.use_cache && !eclair_gui::no_cache_env();
     session.set_cache_enabled(cache_on);
     model.set_cache_enabled(cache_on);
-    let mut state = SuggestState::new();
-    let mut history: Vec<String> = Vec::new();
-    let mut failures = 0usize;
-    let mut recoveries = 0usize;
-    let mut attempted = 0usize;
-    let mut step_no = 0u64;
-    // The narration that used to accumulate in a local Vec<String> now
-    // lives in the trace as Note events; the returned log is rendered back
-    // from the slice this run appended.
+    let (mut attempted, mut failures, mut recoveries) = (0usize, 0usize, 0usize);
+    // The run's narration lives in the trace as Note events; the returned
+    // log is rendered back from the slice this run appended.
     let log_start = model.trace().events().len();
-    let exec_span = model
-        .trace_mut()
-        .open(SpanKind::Execute, workflow_description);
-    while attempted < cfg.max_steps {
-        step_no += 1;
+    let exec_span = model.trace_mut().open(SpanKind::Execute, label);
+    while attempted < max_steps {
+        let step_no = attempted as u64 + 1;
         let step_span = model
             .trace_mut()
             .open(SpanKind::Step, &format!("step {step_no}"));
@@ -144,7 +146,7 @@ pub fn run_on_session<S: GuiSurface>(
         // draws are pure in `(seed, run_id, step)`), then charge the
         // fixed per-step overhead.
         model.trace_mut().clock_begin_step(step_no);
-        model.trace_mut().advance(CostKind::StepInit, 0);
+        model.trace_mut().advance(step_cost, 0);
         // Let a perturbing surface arm its scheduled fault, and record
         // whatever it injected before the step observes.
         session.begin_step(step_no);
@@ -162,9 +164,9 @@ pub fn run_on_session<S: GuiSurface>(
             });
         }
         // A session that expired under the agent redirects every route to
-        // a login interstitial; click through it *before* observing, so
-        // the step's perception and grounding work on the real page.
-        if cfg.relogin_expired && relogin_if_expired(session) {
+        // a login interstitial; click through it *before* the step acts,
+        // so its perception and grounding work on the real page.
+        if relogin_if_expired(session) {
             let rec_span = model.trace_mut().open(SpanKind::Recover, "re-login");
             model.trace_mut().advance(CostKind::Recover, 0);
             model
@@ -172,83 +174,105 @@ pub fn run_on_session<S: GuiSurface>(
                 .note("re-authenticated after session expiry");
             model.trace_mut().close(rec_span);
         }
-        let obs_span = model.trace_mut().open(SpanKind::Observe, "screenshot");
-        model.trace_mut().advance(CostKind::Observe, 0);
-        let shot = session.screenshot();
-        model.trace_mut().close(obs_span);
-        let sug_span = model.trace_mut().open(SpanKind::Suggest, "next action");
-        let suggestion = suggest_next(
-            model,
-            workflow_description,
-            cfg.sop.as_ref(),
-            &mut state,
-            &history,
-            &shot,
-        );
-        model.trace_mut().close(sug_span);
-        let Suggestion::Act(intent, text) = suggestion else {
-            model.trace_mut().note("done: plan exhausted");
-            model.trace_mut().close(step_span);
-            break;
-        };
-        attempted += 1;
-        let act_span = model.trace_mut().open(SpanKind::Actuate, &text);
-        model.trace_mut().advance(CostKind::Actuate, 0);
-        let first_try = perform(model, session, &intent, cfg);
-        model.trace_mut().close(act_span);
-        match first_try {
-            Ok(()) => {
-                model.trace_mut().note(format!("ok: {text}"));
-                history.push(text.clone());
-            }
-            Err(e) => {
-                failures += 1;
-                model.trace_mut().note(format!("fail: {text} ({e})"));
-                // Recovery handling may clear the obstacle (dismiss a
-                // dialog, re-authenticate), but the step only *recovers*
-                // if the intent is then re-performed successfully — an
-                // escaped popup with the action still undone is not a
-                // recovered action.
-                let mut cleared_obstacle = false;
-                if cfg.escape_popups {
-                    let rec_span = model.trace_mut().open(SpanKind::Recover, "popup escape");
-                    if escape_if_irrelevant_modal(model, session, &intent) {
-                        model.trace_mut().advance(CostKind::Recover, 0);
-                        model.trace_mut().event(EventKind::PopupEscape {
-                            url: session.url().to_string(),
-                        });
-                        model.trace_mut().note("dismissed unexpected dialog");
-                        cleared_obstacle = true;
-                    }
-                    model.trace_mut().close(rec_span);
-                }
-                if cfg.retry_failed || cleared_obstacle {
-                    model
-                        .trace_mut()
-                        .event(EventKind::Retry { what: text.clone() });
-                    let retry_span = model.trace_mut().open(SpanKind::Actuate, &text);
-                    model.trace_mut().advance(CostKind::Actuate, 0);
-                    let retried = perform(model, session, &intent, cfg);
-                    model.trace_mut().close(retry_span);
-                    if retried.is_ok() {
-                        model.trace_mut().note(format!("retry ok: {text}"));
-                        history.push(text.clone());
-                        recoveries += 1;
-                    }
-                }
-            }
-        }
+        let outcome = body(model, session, attempted);
         model.trace_mut().close(step_span);
+        if outcome == StepOutcome::Exhausted {
+            break;
+        }
+        attempted += 1;
+        failures += usize::from(outcome != StepOutcome::Landed);
+        recoveries += usize::from(outcome == StepOutcome::Recovered);
+        if outcome == StepOutcome::Aborted {
+            break;
+        }
     }
     model.trace_mut().close(exec_span);
-    let log = render_log(&model.trace().events()[log_start..]);
     RunResult {
         success: false,
         actions_attempted: attempted,
         failures,
         recoveries,
-        log,
+        log: render_log(&model.trace().events()[log_start..]),
     }
+}
+
+/// Run against an existing surface (used by the agent orchestrator, the
+/// drift studies, and the chaos harness): each step observes, asks the FM
+/// for the next action, grounds and actuates it, and on failure escapes an
+/// irrelevant dialog and retries once. `success` in the result is left
+/// `false`; callers check their own predicate.
+pub fn run_on_session<S: GuiSurface>(
+    model: &mut FmModel,
+    session: &mut S,
+    workflow_description: &str,
+    cfg: &ExecConfig,
+) -> RunResult {
+    let mut state = SuggestState::new();
+    let mut history: Vec<String> = Vec::new();
+    drive(
+        model,
+        session,
+        cfg,
+        workflow_description,
+        cfg.max_steps,
+        CostKind::StepInit,
+        |model, session, _| {
+            let obs_span = model.trace_mut().open(SpanKind::Observe, "screenshot");
+            model.trace_mut().advance(CostKind::Observe, 0);
+            let shot = session.screenshot();
+            model.trace_mut().close(obs_span);
+            let sug_span = model.trace_mut().open(SpanKind::Suggest, "next action");
+            let suggestion = suggest_next(
+                model,
+                workflow_description,
+                cfg.sop.as_ref(),
+                &mut state,
+                &history,
+                &shot,
+            );
+            model.trace_mut().close(sug_span);
+            let Suggestion::Act(intent, text) = suggestion else {
+                model.trace_mut().note("done: plan exhausted");
+                return StepOutcome::Exhausted;
+            };
+            let act_span = model.trace_mut().open(SpanKind::Actuate, &text);
+            model.trace_mut().advance(CostKind::Actuate, 0);
+            let first_try = perform(model, session, &intent, cfg);
+            model.trace_mut().close(act_span);
+            let Err(e) = first_try else {
+                model.trace_mut().note(format!("ok: {text}"));
+                history.push(text);
+                return StepOutcome::Landed;
+            };
+            model.trace_mut().note(format!("fail: {text} ({e})"));
+            // Escaping a dialog may clear the obstacle, but the step only
+            // *recovers* if the intent is then re-performed successfully — an
+            // escaped popup with the action still undone is not a recovered
+            // action.
+            let rec_span = model.trace_mut().open(SpanKind::Recover, "popup escape");
+            if escape_if_irrelevant_modal(model, session, &intent) {
+                model.trace_mut().advance(CostKind::Recover, 0);
+                model.trace_mut().event(EventKind::PopupEscape {
+                    url: session.url().to_string(),
+                });
+                model.trace_mut().note("dismissed unexpected dialog");
+            }
+            model.trace_mut().close(rec_span);
+            model
+                .trace_mut()
+                .event(EventKind::Retry { what: text.clone() });
+            let retry_span = model.trace_mut().open(SpanKind::Actuate, &text);
+            model.trace_mut().advance(CostKind::Actuate, 0);
+            let retried = perform(model, session, &intent, cfg);
+            model.trace_mut().close(retry_span);
+            if retried.is_err() {
+                return StepOutcome::Failed;
+            }
+            model.trace_mut().note(format!("retry ok: {text}"));
+            history.push(text);
+            StepOutcome::Recovered
+        },
+    )
 }
 
 /// Dispatch a click and confirm it landed where it was aimed. A layout
@@ -448,7 +472,7 @@ fn locate_inner<S: GuiSurface>(
 /// If the surface landed on a login interstitial (a chaos session-expiry
 /// fault, or any app that signs the agent out), click its login button to
 /// re-authenticate. Returns whether the click re-activated the session.
-pub fn relogin_if_expired<S: GuiSurface>(session: &mut S) -> bool {
+pub(crate) fn relogin_if_expired<S: GuiSurface>(session: &mut S) -> bool {
     if session.url() != "/login" {
         return false;
     }
@@ -703,9 +727,6 @@ mod tests {
             sop: Some(sop),
             strategy: GroundingStrategy::SomHtml,
             max_steps: 8,
-            retry_failed: true,
-            escape_popups: true,
-            relogin_expired: true,
             use_cache: true,
         };
         let r = run_on_session(&mut model, &mut session, "Enter the amount", &cfg);

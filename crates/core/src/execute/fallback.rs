@@ -50,21 +50,17 @@ pub fn repair_step<S: GuiSurface>(
 ) -> Result<RepairedAnchor, String> {
     // A redirect may already have landed us on the login interstitial;
     // recover before burning grounding tokens on the wrong page.
-    let _ = relogin_if_expired(session);
+    relogin_if_expired(session);
     match ground_and_dispatch(model, session, cfg, query, op) {
         Ok(anchor) => Ok(anchor),
         Err(first) => {
             let intent = StepIntent::Click {
                 target: query.to_string(),
             };
-            let cleared = escape_if_irrelevant_modal(model, session, &intent);
-            let relogged = relogin_if_expired(session);
-            if cleared || relogged || cfg.retry_failed {
-                ground_and_dispatch(model, session, cfg, query, op)
-                    .map_err(|second| format!("{first}; after recovery: {second}"))
-            } else {
-                Err(first)
-            }
+            escape_if_irrelevant_modal(model, session, &intent);
+            relogin_if_expired(session);
+            ground_and_dispatch(model, session, cfg, query, op)
+                .map_err(|second| format!("{first}; after recovery: {second}"))
         }
     }
 }

@@ -12,11 +12,15 @@
 //! * [`ground`] — the grounding strategies of Table 3 (raw bbox emission,
 //!   set-of-marks over detector or HTML boxes, GUI-tuned native);
 //! * [`executor`] — the autonomous loop: observe → suggest → ground →
-//!   actuate → (optionally) validate and recover;
+//!   actuate → recover. Its step driver, [`drive`], owns what every run
+//!   shares whatever proposes the steps: spans, virtual-clock anchoring,
+//!   chaos fault notes, re-login, the attempt/failure/recovery counts and
+//!   the rendered log. [`executor::run_on_session`] drives FM-suggested
+//!   steps; the hybrid executor (`eclair-hybrid`) drives compiled bot
+//!   steps;
 //! * [`fallback`] — the step-scoped repair entry point the hybrid
-//!   executor (`eclair-hybrid`) calls when a compiled bot step drifts:
-//!   FM-ground one query, dispatch one operation, report the landed
-//!   anchor for recompilation.
+//!   executor calls when a compiled bot step drifts: FM-ground one query,
+//!   dispatch one operation, report the landed anchor for recompilation.
 
 pub mod executor;
 pub mod fallback;
@@ -24,7 +28,7 @@ pub mod ground;
 pub mod parse;
 pub mod suggest;
 
-pub use executor::{click_at, relogin_if_expired, run_task, ExecConfig, RunResult};
+pub use executor::{click_at, drive, run_task, ExecConfig, RunResult, StepOutcome};
 pub use fallback::{repair_step, RepairedAnchor};
 pub use ground::GroundingStrategy;
 pub use parse::{parse_step, StepIntent};

@@ -77,9 +77,6 @@ fn sop_correct(
         sop: Some(sop.clone()),
         strategy: GroundingStrategy::SomHtml,
         max_steps: (sop.len() * 2).max(8),
-        retry_failed: true,
-        escape_popups: true,
-        relogin_expired: true,
         use_cache: true,
     };
     let ok = run_task(&mut model, task, &cfg).success;

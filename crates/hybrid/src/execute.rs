@@ -2,13 +2,14 @@
 //! detect UI drift at runtime, repair only the broken step with the FM,
 //! and splice the repair back into the script.
 //!
-//! The step loop mirrors `eclair_core::execute::run_on_session`'s
-//! bookkeeping exactly — same span structure, same chaos fault-note
-//! accounting, same re-login recovery, same virtual-clock step anchoring
-//! — so flight records and vt-latency profiles from hybrid runs compose
-//! with everything downstream (obs, bench, crucible). The difference is
-//! what a step costs: a bot step draws [`CostKind::BotStep`] and zero
-//! tokens; only a drifted step pays for FM grounding, via
+//! A bot run is an ordinary run of the shared step driver,
+//! [`eclair_core::execute::drive`], with compiled steps in place of FM
+//! suggestions. The driver owns the span structure, the chaos fault-note
+//! accounting, re-login recovery, virtual-clock step anchoring and the
+//! attempt counts, so flight records and vt-latency profiles from hybrid
+//! runs compose with everything downstream (obs, bench, crucible). What
+//! differs is what a step costs: a bot step draws [`CostKind::BotStep`]
+//! and zero tokens; only a drifted step pays for FM grounding, via
 //! [`eclair_core::execute::repair_step`].
 //!
 //! Drift taxonomy (the chaos-hardened checks from the executor, applied
@@ -30,36 +31,34 @@
 //! [`splice_repair`] so the same drift never costs tokens twice.
 
 use eclair_core::execute::{
-    click_at, relogin_if_expired, repair_step, ExecConfig, RepairedAnchor, RunResult,
+    click_at, drive, repair_step, ExecConfig, RepairedAnchor, RunResult, StepOutcome,
 };
 use eclair_fm::FmModel;
 use eclair_gui::event::EffectKind;
 use eclair_gui::{GuiSurface, Key, UserEvent, VIEWPORT};
 use eclair_rpa::{RpaOp, Selector};
-use eclair_trace::{fault_cost_weight, render_log, CostKind, EventKind, SpanKind};
+use eclair_trace::{CostKind, EventKind, SpanKind};
 
 use crate::compile::{CompiledStep, HybridScript};
 
-/// Outcome of one hybrid run: the executor-shaped result plus the
-/// hybrid-specific drift ledger.
+/// Outcome of one hybrid run, in the executor's shape: every drift is a
+/// failure, and every drift the FM repaired is a recovery.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridReport {
     /// Executor-compatible result (`success` is left `false`; callers
     /// check their own predicate, exactly as with `run_on_session`).
     pub result: RunResult,
-    /// Steps where the bot detected drift.
-    pub drifts: u64,
-    /// FM fallbacks attempted (== drifts unless the run aborted early).
-    pub fallbacks: u64,
-    /// Fallbacks that succeeded and were spliced back into the script.
-    pub repaired: u64,
 }
 
 impl HybridReport {
-    /// Whether the bot got through the whole script (possibly with
-    /// repairs). Task-level success is still the caller's predicate.
-    pub fn completed(&self) -> bool {
-        self.fallbacks == self.repaired && self.result.actions_attempted > 0
+    /// Steps where the bot detected drift; each paid for one FM fallback.
+    pub fn drifts(&self) -> usize {
+        self.result.failures
+    }
+
+    /// Fallbacks that succeeded and were spliced back into the script.
+    pub fn repaired(&self) -> usize {
+        self.result.recoveries
     }
 }
 
@@ -84,134 +83,79 @@ impl Drift {
 
 /// Run a compiled script against a live surface, falling back to the FM
 /// for broken steps only. Mutates `script` in place when the recompiler
-/// splices a repaired anchor. Mirrors `run_on_session`'s accounting so
-/// `HybridReport.result` composes with fleet/crucible bookkeeping:
-/// `recoveries <= failures`, and `failures - recoveries` is the count of
-/// steps that stayed broken (always 0 or 1 here — an unrepairable step
-/// aborts the run).
+/// splices a repaired anchor. The run takes one step per script step, up
+/// to `cfg.max_steps`; an unrepairable step aborts it, so
+/// `failures - recoveries` is always 0 or 1.
 pub fn run_hybrid_on_session<S: GuiSurface>(
     model: &mut FmModel,
     session: &mut S,
     script: &mut HybridScript,
     cfg: &ExecConfig,
 ) -> HybridReport {
-    let cache_on = cfg.use_cache && !eclair_gui::no_cache_env();
-    session.set_cache_enabled(cache_on);
-    model.set_cache_enabled(cache_on);
-    let mut failures = 0usize;
-    let mut recoveries = 0usize;
-    let mut attempted = 0usize;
-    let mut step_no = 0u64;
-    let mut drifts = 0u64;
-    let mut fallbacks = 0u64;
-    let mut repaired = 0u64;
-    let log_start = model.trace().events().len();
-    let exec_span = model.trace_mut().open(SpanKind::Execute, &script.name);
-    let total = script.steps.len();
-    let mut i = 0usize;
-    while i < total && attempted < cfg.max_steps {
-        step_no += 1;
-        let step_span = model
-            .trace_mut()
-            .open(SpanKind::Step, &format!("step {step_no}"));
-        model.trace_mut().clock_begin_step(step_no);
-        model.trace_mut().advance(CostKind::BotStep, 0);
-        session.begin_step(step_no);
-        for note in session.drain_fault_notes() {
-            model
-                .trace_mut()
-                .advance(CostKind::FaultImpact, fault_cost_weight(&note.fault));
-            model.trace_mut().note(format!(
-                "chaos: {} injected at step {}",
-                note.fault, note.step
-            ));
-            model.trace_mut().event(EventKind::FaultInjected {
-                step: note.step,
-                fault: note.fault,
-            });
-        }
-        if cfg.relogin_expired && relogin_if_expired(session) {
-            let rec_span = model.trace_mut().open(SpanKind::Recover, "re-login");
-            model.trace_mut().advance(CostKind::Recover, 0);
-            model
-                .trace_mut()
-                .note("re-authenticated after session expiry");
-            model.trace_mut().close(rec_span);
-        }
-        attempted += 1;
-        let step = script.steps[i].clone();
-        let landed = match bot_dispatch(session, &step) {
-            Ok(()) => Ok(()),
-            // One-shot faults (layout-shift displacement, a dropped
-            // event) consume on delivery: a single deterministic retry
-            // is free and resolves them without waking the FM.
-            Err(Drift::Transient(_)) => bot_dispatch(session, &step),
-            Err(miss) => Err(miss),
-        };
-        match landed {
-            Ok(()) => {
+    let max_steps = cfg.max_steps.min(script.steps.len());
+    // The Execute span is labelled with the script's name while the step
+    // body splices repairs into the script, so lend the name out.
+    let name = std::mem::take(&mut script.name);
+    let result = drive(
+        model,
+        session,
+        cfg,
+        &name,
+        max_steps,
+        CostKind::BotStep,
+        |model, session, i| {
+            let step = &script.steps[i];
+            let landed = match bot_dispatch(session, step) {
+                Ok(()) => Ok(()),
+                // One-shot faults (layout-shift displacement, a dropped
+                // event) consume on delivery: a single deterministic retry
+                // is free and resolves them without waking the FM.
+                Err(Drift::Transient(_)) => bot_dispatch(session, step),
+                Err(miss) => Err(miss),
+            };
+            let Err(drift) = landed else {
                 model.trace_mut().note(format!("bot ok: {}", step.describe));
-            }
-            Err(drift) => {
-                drifts += 1;
-                failures += 1;
-                let reason = drift.reason().to_string();
-                model.trace_mut().event(EventKind::DriftDetected {
-                    step: i as u64,
-                    reason: reason.clone(),
-                });
-                model
-                    .trace_mut()
-                    .note(format!("drift at step {i}: {reason} ({})", step.describe));
-                fallbacks += 1;
-                let rec_span = model.trace_mut().open(SpanKind::Recover, "fm fallback");
-                model.trace_mut().advance(CostKind::Recover, 0);
-                model.trace_mut().event(EventKind::FallbackStep {
-                    step: i as u64,
-                    query: step.query.clone(),
-                });
-                let repair = repair_step(model, session, cfg, &step.query, &step.op);
-                model.trace_mut().close(rec_span);
-                match repair {
-                    Ok(anchor) => {
-                        recoveries += 1;
-                        repaired += 1;
-                        let selector = splice_repair(script, i, &anchor);
-                        model.trace_mut().event(EventKind::Recompiled {
-                            step: i as u64,
-                            selector: selector.describe(),
-                        });
-                        model
-                            .trace_mut()
-                            .note(format!("recompiled step {i} -> {}", selector.describe()));
-                    }
-                    Err(e) => {
-                        model
-                            .trace_mut()
-                            .note(format!("fallback failed at step {i}: {e}"));
-                        model.trace_mut().close(step_span);
-                        break;
-                    }
+                return StepOutcome::Landed;
+            };
+            let reason = drift.reason();
+            model.trace_mut().event(EventKind::DriftDetected {
+                step: i as u64,
+                reason: reason.to_string(),
+            });
+            model
+                .trace_mut()
+                .note(format!("drift at step {i}: {reason} ({})", step.describe));
+            let rec_span = model.trace_mut().open(SpanKind::Recover, "fm fallback");
+            model.trace_mut().advance(CostKind::Recover, 0);
+            model.trace_mut().event(EventKind::FallbackStep {
+                step: i as u64,
+                query: step.query.clone(),
+            });
+            let repair = repair_step(model, session, cfg, &step.query, &step.op);
+            model.trace_mut().close(rec_span);
+            match repair {
+                Ok(anchor) => {
+                    let selector = splice_repair(script, i, &anchor);
+                    model.trace_mut().event(EventKind::Recompiled {
+                        step: i as u64,
+                        selector: selector.describe(),
+                    });
+                    model
+                        .trace_mut()
+                        .note(format!("recompiled step {i} -> {}", selector.describe()));
+                    StepOutcome::Recovered
+                }
+                Err(e) => {
+                    model
+                        .trace_mut()
+                        .note(format!("fallback failed at step {i}: {e}"));
+                    StepOutcome::Aborted
                 }
             }
-        }
-        model.trace_mut().close(step_span);
-        i += 1;
-    }
-    model.trace_mut().close(exec_span);
-    let log = render_log(&model.trace().events()[log_start..]);
-    HybridReport {
-        result: RunResult {
-            success: false,
-            actions_attempted: attempted,
-            failures,
-            recoveries,
-            log,
         },
-        drifts,
-        fallbacks,
-        repaired,
-    }
+    );
+    script.name = name;
+    HybridReport { result }
 }
 
 /// The recompiler: splice the anchor an FM repair landed on back into
@@ -343,7 +287,7 @@ mod tests {
                 task.id,
                 report.result.log.join("\n")
             );
-            assert_eq!(report.drifts, 0, "{}: drift on a pristine page", task.id);
+            assert_eq!(report.drifts(), 0, "{}: drift on a pristine page", task.id);
             assert_eq!(
                 model.meter().total_tokens(),
                 0,
@@ -374,8 +318,8 @@ mod tests {
             "repaired run must still complete:\n{}",
             report.result.log.join("\n")
         );
-        assert_eq!(report.drifts, 1);
-        assert_eq!(report.repaired, 1);
+        assert_eq!(report.drifts(), 1);
+        assert_eq!(report.repaired(), 1);
         assert_eq!(script.recompiled, 1);
         assert!(model.meter().total_tokens() > 0, "the fallback pays tokens");
         // The same drift never costs tokens twice: a fresh run of the
@@ -384,7 +328,7 @@ mod tests {
         let mut model2 = oracle();
         let report2 = run_hybrid_on_session(&mut model2, &mut session2, &mut script, &cfg);
         assert!(task.success.evaluate(&session2));
-        assert_eq!(report2.drifts, 0, "{}", report2.result.log.join("\n"));
+        assert_eq!(report2.drifts(), 0, "{}", report2.result.log.join("\n"));
         assert_eq!(model2.meter().total_tokens(), 0);
     }
 
@@ -404,7 +348,7 @@ mod tests {
         let mut model = oracle();
         let cfg = ExecConfig::with_sop(task.gold_sop.clone());
         let report = run_hybrid_on_session(&mut model, &mut session, &mut script, &cfg);
-        assert_eq!(report.drifts, 1, "{}", report.result.log.join("\n"));
+        assert_eq!(report.drifts(), 1, "{}", report.result.log.join("\n"));
         let events = model.trace().events();
         let has = |pred: &dyn Fn(&EventKind) -> bool| events.iter().any(|e| pred(&e.kind));
         assert!(has(&|k| matches!(
@@ -433,13 +377,38 @@ mod tests {
         let cfg = ExecConfig::with_sop(task.gold_sop.clone());
         let report = run_hybrid_on_session(&mut model, &mut session, &mut script, &cfg);
         assert!(!task.success.evaluate(&session));
-        assert_eq!(report.fallbacks, 1);
-        assert_eq!(report.repaired, 0);
-        assert!(!report.completed());
+        assert_eq!(report.drifts(), 1);
+        assert_eq!(report.repaired(), 0);
+        assert_eq!(
+            report.result.actions_attempted, 1,
+            "the run stops at the broken step"
+        );
         assert!(report
             .result
             .log
             .iter()
             .any(|l| l.contains("fallback failed")));
+    }
+
+    #[test]
+    fn step_budget_below_the_script_length_caps_the_run() {
+        let task = all_tasks()
+            .into_iter()
+            .find(|t| t.id == "gitlab-01")
+            .unwrap();
+        let mut script = compile(&task);
+        assert!(script.steps.len() > 1, "fixture needs a multi-step script");
+        let mut session = task.launch();
+        let mut model = oracle();
+        let mut cfg = ExecConfig::with_sop(task.gold_sop.clone());
+        cfg.max_steps = 1;
+        let report = run_hybrid_on_session(&mut model, &mut session, &mut script, &cfg);
+        assert_eq!(report.result.actions_attempted, cfg.max_steps);
+        assert_eq!(report.drifts(), 0);
+        assert!(
+            !task.success.evaluate(&session),
+            "one step of {} cannot finish the task",
+            script.steps.len()
+        );
     }
 }

@@ -9,10 +9,11 @@
 //!   execution trace (gold actions + gold outcome) into a selector bot,
 //!   choosing the most drift-resistant anchor per step (name > label >
 //!   position) from the recorded frames;
-//! * [`execute`] — the **hybrid executor**: replay the bot at near-zero
-//!   token cost, detect drift at runtime (selector miss, landing-point
-//!   verification failure, bounced effects, unexpected modals/redirects),
-//!   and fall back to the FM executor for *only the broken step*;
+//! * [`execute`] — the **hybrid executor**: replay the bot through the
+//!   FM executor's own step driver at near-zero token cost, detect drift
+//!   at runtime (selector miss, landing-point verification failure,
+//!   bounced effects, unexpected modals/redirects), and fall back to the
+//!   FM for *only the broken step*;
 //! * [`execute::splice_repair`] — the **recompiler**: splice each
 //!   FM-repaired anchor back into the script, so the same drift never
 //!   costs tokens twice;

@@ -1,7 +1,8 @@
 //! Golden-trace snapshot corpus: canonical crucible scenarios whose full
-//! fleet outcome and merged-trace digest are committed under
-//! `tests/golden/`. Any behavioral drift in the executor, scheduler,
-//! chaos layer, or trace pipeline shows up as a diff against these files.
+//! fleet outcome and merged-trace digest, for the pure-FM run and for its
+//! hybrid twin, are committed under `tests/golden/`. Any behavioral drift
+//! in the executor, the bot path, scheduler, chaos layer, or trace
+//! pipeline shows up as a diff against these files.
 //!
 //! To intentionally re-baseline after a deliberate behavior change:
 //!
@@ -96,8 +97,10 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.snap"))
 }
 
-/// Three lines per snapshot: the scenario, the full fleet outcome, and
-/// the merged-trace digest — line-oriented so drift diffs readably.
+/// Five lines per snapshot: the scenario, the full fleet outcome and the
+/// merged-trace digest, then the same outcome and digest for the
+/// scenario's hybrid twin (the compiled-bot path) — line-oriented so
+/// drift diffs readably.
 fn render(scenario: &Scenario) -> String {
     let run = run_scenario(scenario).expect("canonical scenario executes");
     let eval = evaluate(&run);
@@ -107,11 +110,14 @@ fn render(scenario: &Scenario) -> String {
         eval.violations
     );
     let trace = run.report.merged_trace_jsonl().expect("trace serializes");
+    let hybrid_trace = run.hybrid.merged_trace_jsonl().expect("trace serializes");
     format!(
-        "scenario={}\noutcome={}\ntrace_fnv1a={:016x}\n",
+        "scenario={}\noutcome={}\ntrace_fnv1a={:016x}\nhybrid_outcome={}\nhybrid_trace_fnv1a={:016x}\n",
         serde_json::to_string(scenario).expect("scenario serializes"),
         run.report.outcome.to_json(),
         fnv1a(&trace),
+        run.hybrid.outcome.to_json(),
+        fnv1a(&hybrid_trace),
     )
 }
 
