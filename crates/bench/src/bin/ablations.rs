@@ -8,9 +8,7 @@
 //!   actuation-validation dataset (§5's "repeatedly querying and
 //!   ensembling predictions").
 
-use eclair_bench::{
-    automate_sweep, emit_metrics, fast_mode, render_trace_rollup, summary_snapshot, trace_out_arg,
-};
+use eclair_bench::{automate_sweep, render_trace_rollup, summary_snapshot, Args};
 use eclair_core::demonstrate::record_gold_demo;
 use eclair_core::execute::executor::{run_task, ExecConfig};
 use eclair_core::execute::GroundingStrategy;
@@ -54,8 +52,9 @@ fn accuracy_with_detector(
 }
 
 fn main() {
+    let args = Args::parse(&["--trace-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let n_tasks = if fast_mode() { 6 } else { 15 };
+    let n_tasks = 15;
     let tasks: Vec<_> = all_tasks().into_iter().take(n_tasks).collect();
     let mut trace = RunSummary::default();
 
@@ -97,8 +96,7 @@ fn main() {
 
     // ----- A2: detector quality ablation
     println!("A2: SoM grounding accuracy vs detector quality (WebUI-sim)\n");
-    let pages = if fast_mode() { 40 } else { 120 };
-    let samples = generate(Corpus::WebUiSim, pages, 99);
+    let samples = generate(Corpus::WebUiSim, 120, 99);
     let default_acc = accuracy_with_detector(&samples, &YoloNasSim::default(), 7, &mut trace);
     let oracle_acc = accuracy_with_detector(&samples, &YoloNasSim::oracle(), 7, &mut trace);
     println!("default detector: {:.2}", default_acc);
@@ -166,19 +164,6 @@ fn main() {
 
     println!("\ntrace rollup (A1 + A2 + A4; A3's ensemble models are internal):");
     println!("{}", render_trace_rollup(&trace));
-    if let Some(path) = trace_out_arg() {
-        let sweep = automate_sweep(if fast_mode() { 3 } else { 10 }, 7);
-        match std::fs::write(&path, &sweep.jsonl) {
-            Ok(()) => println!(
-                "flight record: {} events written to {}",
-                sweep.summary.events,
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    emit_metrics(&summary_snapshot(&trace));
+    args.write_with("--trace-out", || automate_sweep(10, 7).jsonl);
+    args.write_metrics(&summary_snapshot(&trace));
 }

@@ -1,21 +1,19 @@
 //! Regenerate the Section 3 case-study dynamics: an RPA deployment under
 //! quarterly UI drift with bounded maintenance, vs ECLAIR's day-one agent.
 
+use std::process::ExitCode;
+
 use eclair_bench::{
-    automate_sweep, emit_metrics, fast_mode, render_trace_rollup, summary_snapshot, trace_out_arg,
+    automate_sweep, finish, render_trace_rollup, shape_gate, summary_snapshot, Args,
 };
 use eclair_core::experiments::case_study;
 use eclair_metrics::table::fmt2;
 use eclair_metrics::Table;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--trace-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let cfg = case_study::CaseStudyConfig {
-        months: if fast_mode() { 6 } else { 12 },
-        eclair_reps: if fast_mode() { 1 } else { 3 },
-        ..Default::default()
-    };
-    let result = case_study::run(cfg);
+    let result = case_study::run(case_study::CaseStudyConfig::default());
     println!("Section 3 case studies: RPA deployment dynamics (invoice + eligibility workflows)\n");
     let mut t = Table::new(vec!["month", "RPA accuracy", "fixes", "UI update"]).numeric();
     for m in &result.rpa.months {
@@ -45,23 +43,12 @@ fn main() {
     );
     println!("\ntrace rollup (ECLAIR side):");
     println!("{}", render_trace_rollup(&result.trace));
-    if let Some(path) = trace_out_arg() {
-        let sweep = automate_sweep(if fast_mode() { 3 } else { 10 }, 7);
-        match std::fs::write(&path, &sweep.jsonl) {
-            Ok(()) => println!(
-                "flight record: {} events written to {}",
-                sweep.summary.events,
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    match result.shape_holds() {
-        Ok(()) => println!("\nshape check: PASS (60%→95% ramp; agent viable from day one)"),
-        Err(e) => println!("\nshape check: FAIL — {e}"),
-    }
-    emit_metrics(&summary_snapshot(&result.trace));
+    args.write_with("--trace-out", || automate_sweep(10, 7).jsonl);
+    println!();
+    let shape = shape_gate(
+        result.shape_holds(),
+        "60%→95% ramp; agent viable from day one",
+    );
+    args.write_metrics(&summary_snapshot(&result.trace));
+    finish(shape)
 }

@@ -12,22 +12,25 @@
 //!
 //! * `determinism`: the canonical point re-run sequentially and on a
 //!   4-worker pool must serialize byte-identically (`--determinism-out`
-//!   writes the dump the CI `chaos-smoke` job diffs across invocations);
+//!   writes the dump CI compares across invocations);
 //! * `shape`: per profile, completion must be monotone non-increasing in
 //!   the fault rate (with one rescued run of slack per point — faults can
 //!   legitimately rescue a run), and the oracle must degrade least.
 //!
-//! `ECLAIR_FAST=1` shrinks the sweep for CI.
+//! Either failing exits 1.
 
-use eclair_bench::{emit_metrics, fast_mode, fleet_metrics};
-use eclair_chaos::ChaosProfile;
+use std::process::ExitCode;
+
+use eclair_bench::{finish, fleet_metrics, suite_specs, under_chaos, Args, RunBytes};
 use eclair_fleet::{Fleet, FleetConfig, FleetReport, RetryPolicy, RunSpec};
 use eclair_fm::FmProfile;
-use eclair_sites::all_tasks;
 use serde::Serialize;
 
 const FLEET_SEED: u64 = 2025;
 const CHAOS_SEED: u64 = 777;
+const TASKS: usize = 30;
+const REPS: usize = 3;
+const RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
 
 /// One (profile, fault-rate) point of the sweep.
 #[derive(Debug, Serialize)]
@@ -65,26 +68,12 @@ struct ChaosBenchJson {
     points: Vec<ChaosPoint>,
 }
 
-fn specs(profile: FmProfile, rate: f64, tasks: usize, reps: usize) -> Vec<RunSpec> {
-    let suite = all_tasks();
-    let mut out = Vec::with_capacity(tasks * reps);
-    for rep in 0..reps {
-        for (i, task) in suite.iter().take(tasks).enumerate() {
-            let run_id = (rep * tasks + i) as u64;
-            let mut spec = RunSpec::for_task(FLEET_SEED, run_id, task.clone(), profile);
-            if rate > 0.0 {
-                spec = spec.with_chaos(ChaosProfile::full(CHAOS_SEED, rate));
-                // Fault handling consumes steps (modal dismissal, stale
-                // re-suggestions, dropped actions), so extend the step
-                // budget by the expected injection count — the curve
-                // should measure recovery ability, not budget starvation.
-                let base = spec.config.max_steps;
-                spec.config.max_steps = base + (base as f64 * rate).ceil() as usize;
-            }
-            out.push(spec);
-        }
+fn specs(profile: FmProfile, rate: f64) -> Vec<RunSpec> {
+    let mut specs = suite_specs(FLEET_SEED, TASKS, REPS, profile);
+    for spec in &mut specs {
+        under_chaos(spec, CHAOS_SEED, rate);
     }
-    out
+    specs
 }
 
 fn fleet(workers: usize) -> Fleet {
@@ -131,25 +120,6 @@ fn point(
         mean_faults_per_run: faults_total as f64 / runs.max(1) as f64,
         survival_of_baseline: surviving as f64 / baseline_wins.len().max(1) as f64,
     }
-}
-
-/// FNV-1a digest of the merged trace (same construction as fleet_bench):
-/// covers every trace byte while keeping the determinism dump small.
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// Per profile: completion monotone non-increasing in fault rate — up to
@@ -204,31 +174,26 @@ fn shape_check(
     Ok(())
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--determinism-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let (tasks, reps, rates): (usize, usize, Vec<f64>) = if fast_mode() {
-        (8, 1, vec![0.0, 0.3])
-    } else {
-        (30, 3, vec![0.0, 0.1, 0.25, 0.5])
-    };
     let profiles = [FmProfile::Oracle, FmProfile::CogAgent18b, FmProfile::Gpt4V];
     println!(
         "chaos_bench: {} tasks x {} reps, rates {:?}, seeds fleet={} chaos={}",
-        tasks, reps, rates, FLEET_SEED, CHAOS_SEED
+        TASKS, REPS, RATES, FLEET_SEED, CHAOS_SEED
     );
 
     // Determinism gate on the canonical point (GPT-4 at the top rate):
     // sequential vs 4-worker pool must serialize byte-identically.
-    let top_rate = *rates.last().unwrap();
+    let top_rate = RATES[RATES.len() - 1];
     let canon_seq = fleet(1)
-        .run_sequential(specs(FmProfile::Gpt4V, top_rate, tasks, reps))
+        .run_sequential(specs(FmProfile::Gpt4V, top_rate))
         .expect("sequential canonical point");
+    let canon = RunBytes::of(&canon_seq);
     let canon_par = fleet(4)
-        .run(specs(FmProfile::Gpt4V, top_rate, tasks, reps))
+        .run(specs(FmProfile::Gpt4V, top_rate))
         .expect("parallel canonical point");
-    let determinism_ok = canon_seq.outcome.to_json() == canon_par.outcome.to_json()
-        && canon_seq.merged_trace_jsonl().expect("merged trace")
-            == canon_par.merged_trace_jsonl().expect("merged trace");
+    let determinism_ok = RunBytes::of(&canon_par) == canon;
     println!(
         "determinism (gpt-4v @ {top_rate}): {}",
         if determinism_ok { "ok" } else { "MISMATCH" }
@@ -241,11 +206,9 @@ fn main() {
     let mut points = Vec::new();
     for &profile in &profiles {
         let mut baseline_wins = std::collections::HashSet::new();
-        for &rate in &rates {
-            let report = fleet(4)
-                .run(specs(profile, rate, tasks, reps))
-                .expect("sweep point");
-            if rate == rates[0] {
+        for rate in RATES {
+            let report = fleet(4).run(specs(profile, rate)).expect("sweep point");
+            if rate == RATES[0] {
                 baseline_wins = report
                     .outcome
                     .records
@@ -272,17 +235,17 @@ fn main() {
         }
     }
 
-    let shape = shape_check(&points, &profiles, &rates, tasks * reps);
+    let shape = shape_check(&points, &profiles, &RATES, TASKS * REPS);
     if let Err(e) = &shape {
         eprintln!("shape violation: {e}");
     }
 
     let artifact = ChaosBenchJson {
-        suite_tasks: tasks,
-        reps,
+        suite_tasks: TASKS,
+        reps: REPS,
         fleet_seed: FLEET_SEED,
         chaos_seed: CHAOS_SEED,
-        fault_rates: rates.clone(),
+        fault_rates: RATES.to_vec(),
         profiles: profiles.iter().map(|p| p.name().to_string()).collect(),
         determinism: if determinism_ok { "ok" } else { "MISMATCH" }.to_string(),
         shape: match &shape {
@@ -291,31 +254,16 @@ fn main() {
         },
         points,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_chaos.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
+    args.write_artifact("BENCH_chaos.json", &artifact);
+    args.write_with("--determinism-out", || canon.dump());
+    args.write_metrics(&metrics);
 
-    if let Some(path) = arg_value("--determinism-out") {
-        let det = format!(
-            "{}\ntrace_fnv1a={:016x}\n",
-            canon_seq.outcome.to_json(),
-            fnv1a(&canon_seq.merged_trace_jsonl().expect("merged trace"))
-        );
-        std::fs::write(&path, det).expect("write determinism artifact");
-        println!("wrote {path}");
-    }
-    emit_metrics(&metrics);
-
+    let mut failed = Vec::new();
     if !determinism_ok {
-        eprintln!("FAIL: chaos fleet diverged between sequential and concurrent execution");
-        std::process::exit(1);
+        failed.push("chaos fleet diverged between sequential and concurrent execution".to_string());
     }
     if shape.is_err() {
-        eprintln!("FAIL: completion/recovery curves violate the expected shape");
-        std::process::exit(1);
+        failed.push("completion/recovery curves violate the expected shape".to_string());
     }
+    finish(failed)
 }

@@ -8,14 +8,16 @@
 //! The artifact carries no wall-clock — task counts per site and per
 //! template, the self-validation pass rate, predicate diversity, and the
 //! FNV-1a manifest digest — so two back-to-back invocations must produce
-//! byte-identical files (the CI `corpus-smoke` job diffs them). The
-//! bench itself also generates the corpus twice and byte-compares the
-//! manifests, so a single invocation already proves reproducibility.
-//! Any self-validation miss or manifest divergence exits 1.
+//! byte-identical files (CI diffs a fresh one against the committed
+//! bytes). The bench itself also generates the corpus twice and
+//! byte-compares the manifests, so a single invocation already proves
+//! reproducibility. Exits 1 on any self-validation miss, a manifest
+//! divergence, fewer than 300 tasks or fewer than 5 sites with tasks.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use eclair_bench::emit_metrics;
+use eclair_bench::{finish, Args};
 use eclair_corpus::{generate, CORPUS_SEED};
 use eclair_obs::MetricsRegistry;
 use serde::Serialize;
@@ -55,24 +57,14 @@ struct CorpusBenchJson {
     regeneration_identical: bool,
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--metrics-out"]);
     println!("corpus_bench: expanding corpus from master seed 0x{CORPUS_SEED:016x}");
     let t0 = Instant::now();
 
     let corpus = match generate(CORPUS_SEED) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("FAIL: corpus generation refused: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => return finish([format!("corpus generation refused: {e}")]),
     };
     let gen_ms = t0.elapsed().as_secs_f64() * 1e3;
 
@@ -147,24 +139,28 @@ fn main() {
         manifest_digest: format!("{:016x}", m.digest()),
         regeneration_identical,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_corpus.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
-    emit_metrics(&metrics);
+    args.write_artifact("BENCH_corpus.json", &artifact);
+    args.write_metrics(&metrics);
 
+    let mut failed = Vec::new();
     if !regeneration_identical {
-        eprintln!("FAIL: second generation diverged from the first");
-        std::process::exit(1);
+        failed.push("second generation diverged from the first".to_string());
     }
     if !failures.is_empty() {
-        eprintln!(
-            "FAIL: {} gold traces missed their own predicate",
+        failed.push(format!(
+            "{} gold traces missed their own predicate",
             failures.len()
-        );
-        std::process::exit(1);
+        ));
     }
+    if artifact.total_tasks < 300 {
+        failed.push(format!(
+            "corpus shrank to {} tasks (floor 300)",
+            artifact.total_tasks
+        ));
+    }
+    let sites = artifact.per_site.iter().filter(|(_, n)| *n > 0).count();
+    if sites < 5 {
+        failed.push(format!("only {sites} sites have tasks (floor 5)"));
+    }
+    finish(failed)
 }

@@ -8,11 +8,14 @@
 //! The artifact carries no wall-clock — scenario counts, oracle-check
 //! counts, violations, and an FNV-1a digest over every scenario's
 //! serialized outcome — so two back-to-back invocations must produce
-//! byte-identical files (the CI `crucible-smoke` job diffs them).
-//! `ECLAIR_FAST=1` shrinks the sweep from 64 to 16 scenarios. Any oracle
-//! violation exits 1 after printing the shrunk reproduction.
+//! byte-identical files (CI diffs a fresh one against the committed
+//! bytes). Any oracle violation exits 1 after printing the shrunk
+//! reproduction.
 
-use eclair_bench::{emit_metrics, fast_mode};
+use std::process::ExitCode;
+
+use eclair_bench::{finish, Args};
+use eclair_corpus::rng::fnv1a64;
 use eclair_crucible::{evaluate, repro_snippet, run_scenario, shrink, Scenario};
 use eclair_obs::MetricsRegistry;
 use serde::Serialize;
@@ -20,6 +23,9 @@ use serde::Serialize;
 /// The sweep's master seed: every scenario derives from it, so this one
 /// number pins the whole artifact.
 const MASTER_SEED: u64 = 0xEC1A_12C7_0C1B_1E00;
+
+/// Scenarios in the sweep.
+const SWEEP: u64 = 64;
 
 /// One scenario's row in the artifact.
 #[derive(Debug, Serialize)]
@@ -52,33 +58,18 @@ struct CrucibleBenchJson {
     rows: Vec<ScenarioRow>,
 }
 
-/// FNV-1a digest (same construction as fleet_bench / chaos_bench).
-fn fnv1a_extend(h: &mut u64, text: &str) {
-    for b in text.as_bytes() {
-        *h ^= *b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--metrics-out"]);
+    println!("crucible_bench: {SWEEP}-scenario sweep, master seed 0x{MASTER_SEED:016x}");
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
-    let sweep = if fast_mode() { 16u64 } else { 64u64 };
-    println!("crucible_bench: {sweep}-scenario sweep, master seed 0x{MASTER_SEED:016x}");
-
-    let mut rows = Vec::with_capacity(sweep as usize);
+    let mut rows = Vec::with_capacity(SWEEP as usize);
     let mut total_checks = 0usize;
     let mut violation_details = Vec::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    // Every scenario's serialized outcome, in id order, for the digest.
+    let mut outcomes = String::new();
     let mut metrics = MetricsRegistry::new();
 
-    for id in 0..sweep {
+    for id in 0..SWEEP {
         let scenario = Scenario::generate(MASTER_SEED, id);
         let run = match run_scenario(&scenario) {
             Ok(run) => run,
@@ -90,7 +81,7 @@ fn main() {
         };
         let eval = evaluate(&run);
         total_checks += eval.checks;
-        fnv1a_extend(&mut digest, &run.report.outcome.to_json());
+        outcomes.push_str(&run.report.outcome.to_json());
         let o = &run.report.outcome;
         metrics.inc("crucible.scenarios", 1);
         metrics.inc("crucible.oracle_checks", eval.checks as u64);
@@ -129,6 +120,7 @@ fn main() {
     }
 
     let violations = violation_details.len();
+    let digest = fnv1a64(outcomes.as_bytes());
     println!(
         "{} scenarios, {} oracle checks, {} violations, outcome digest {digest:016x}",
         rows.len(),
@@ -145,17 +137,7 @@ fn main() {
         outcome_digest: format!("{digest:016x}"),
         rows,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_crucible.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
-    emit_metrics(&metrics);
-
-    if violations > 0 {
-        eprintln!("FAIL: {violations} oracle violations across the sweep");
-        std::process::exit(1);
-    }
+    args.write_artifact("BENCH_crucible.json", &artifact);
+    args.write_metrics(&metrics);
+    finish((violations > 0).then(|| format!("{violations} oracle violations across the sweep")))
 }

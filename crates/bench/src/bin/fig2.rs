@@ -1,11 +1,14 @@
 //! Regenerate the paper's Figure 2 (workflow-automatability taxonomy).
 
-use eclair_bench::emit_metrics;
+use std::process::ExitCode;
+
+use eclair_bench::{finish, shape_gate, Args};
 use eclair_core::experiments::fig2;
 use eclair_obs::MetricsRegistry;
 use eclair_workflow::category::figure2_examples;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--metrics-out"]);
     let result = fig2::run();
     println!("Figure 2: categories of workflows vs the technology able to automate them");
     println!("(the paper's five real hospital workflows; v=yes, ~=somewhat, x=no)\n");
@@ -16,10 +19,7 @@ fn main() {
         rpa * 100.0,
         eclair * 100.0
     );
-    match result.shape_holds() {
-        Ok(()) => println!("shape check: PASS (ECLAIR strictly extends RPA coverage)"),
-        Err(e) => println!("shape check: FAIL — {e}"),
-    }
+    let shape = shape_gate(result.shape_holds(), "ECLAIR strictly extends RPA coverage");
     // No trace here — the taxonomy is a static analysis — so the
     // snapshot carries the coverage figures as basis-point gauges.
     let mut metrics = MetricsRegistry::new();
@@ -29,5 +29,6 @@ fn main() {
         (eclair * 10_000.0).round() as i64,
     );
     metrics.set_gauge("fig2.workflows", figure2_examples().len() as i64);
-    emit_metrics(&metrics);
+    args.write_metrics(&metrics);
+    finish(shape)
 }

@@ -11,23 +11,21 @@
 //!
 //! * `determinism`: the canonical hybrid point (top fault rate) re-run
 //!   sequentially and on a 4-worker pool must serialize byte-identically
-//!   (`--determinism-out` writes the dump the CI `hybrid-smoke` job
-//!   diffs across invocations);
+//!   (`--determinism-out` writes the dump CI compares across
+//!   invocations);
 //! * `token_floor`: at fault rate 0 the hybrid pipeline must undercut
-//!   pure-FM tokens/run by ≥10x (≥5x under `ECLAIR_FAST=1`) — on a
-//!   drift-free page the compiled bot replays the validated trace
-//!   without a single FM call;
+//!   pure-FM tokens/run by ≥10x — on a drift-free page the compiled bot
+//!   replays the validated trace without a single FM call;
 //! * `completion_parity`: hybrid completion must match or beat pure-FM
 //!   at every fault rate (the full-FM rescue re-runs a failing attempt
 //!   at the same seed, so the twin can only gain);
 //! * `recompile`: in every drift epoch the second back-to-back run must
 //!   spend fewer fallback tokens than the first — the spliced repair
 //!   means the same drift never costs tokens twice.
-//!
-//! `ECLAIR_FAST=1` shrinks the sweep for CI.
 
-use eclair_bench::{emit_metrics, fast_mode, fleet_metrics};
-use eclair_chaos::ChaosProfile;
+use std::process::ExitCode;
+
+use eclair_bench::{finish, fleet_metrics, suite_specs, under_chaos, Args, RunBytes};
 use eclair_fleet::{derive_seed, Fleet, FleetConfig, RetryPolicy, RunSpec};
 use eclair_fm::tokens::Pricing;
 use eclair_fm::FmProfile;
@@ -43,6 +41,11 @@ const CHAOS_SEED: u64 = 777;
 /// The profile both arms run under: the paper's flagship model, so the
 /// token economics are the ones §6 argues about.
 const PROFILE: FmProfile = FmProfile::Gpt4V;
+const TASKS: usize = 30;
+const REPS: usize = 3;
+const RATES: [f64; 4] = [0.0, 0.1, 0.25, 0.5];
+/// Pure-FM tokens per hybrid token the fault-free point must reach.
+const TOKEN_FLOOR: f64 = 10.0;
 
 /// One fault-rate point: the pure-FM arm and its hybrid twin.
 #[derive(Debug, Serialize)]
@@ -111,28 +114,16 @@ struct HybridBenchJson {
     economics: Economics,
 }
 
-fn specs(rate: f64, tasks: usize, reps: usize, hybrid: bool) -> Vec<RunSpec> {
-    let suite = all_tasks();
-    let mut out = Vec::with_capacity(tasks * reps);
-    for rep in 0..reps {
-        for (i, task) in suite.iter().take(tasks).enumerate() {
-            let run_id = (rep * tasks + i) as u64;
-            let mut spec = RunSpec::for_task(FLEET_SEED, run_id, task.clone(), PROFILE);
-            if rate > 0.0 {
-                spec = spec.with_chaos(ChaosProfile::full(CHAOS_SEED, rate));
-                // Same step-budget extension as chaos_bench: fault
-                // handling consumes steps, and the curve should measure
-                // robustness, not budget starvation.
-                let base = spec.config.max_steps;
-                spec.config.max_steps = base + (base as f64 * rate).ceil() as usize;
-            }
-            if hybrid {
-                spec = spec.with_hybrid(HybridPolicy::default());
-            }
-            out.push(spec);
+fn specs(rate: f64, hybrid: bool) -> Vec<RunSpec> {
+    let mut specs = suite_specs(FLEET_SEED, TASKS, REPS, PROFILE);
+    for spec in &mut specs {
+        // Same chaos as chaos_bench, step-budget extension included.
+        under_chaos(spec, CHAOS_SEED, rate);
+        if hybrid {
+            spec.hybrid = Some(HybridPolicy::default());
         }
     }
-    out
+    specs
 }
 
 fn fleet(workers: usize) -> Fleet {
@@ -159,24 +150,6 @@ fn hybrid_counts(trace: &[TraceEvent]) -> (u64, u64, u64, u64) {
         }
     }
     (compiled, drifts, fallbacks, recompiled)
-}
-
-/// FNV-1a digest (same construction as fleet_bench / chaos_bench).
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }
 
 /// The drift-epoch study. One script compiled once — then downgraded to
@@ -264,18 +237,14 @@ fn drift_epochs() -> (Vec<EpochRow>, Result<(), String>) {
     (rows, gate)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--determinism-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let (tasks, reps, rates): (usize, usize, Vec<f64>) = if fast_mode() {
-        (8, 1, vec![0.0, 0.3])
-    } else {
-        (30, 3, vec![0.0, 0.1, 0.25, 0.5])
-    };
     println!(
         "hybrid_bench: {} tasks x {} reps, rates {:?}, profile {}, seeds fleet={} chaos={}",
-        tasks,
-        reps,
-        rates,
+        TASKS,
+        REPS,
+        RATES,
         PROFILE.name(),
         FLEET_SEED,
         CHAOS_SEED
@@ -283,16 +252,15 @@ fn main() {
 
     // Determinism gate on the canonical hybrid point (top fault rate):
     // sequential vs 4-worker pool must serialize byte-identically.
-    let top_rate = *rates.last().unwrap();
+    let top_rate = RATES[RATES.len() - 1];
     let canon_seq = fleet(1)
-        .run_sequential(specs(top_rate, tasks, reps, true))
+        .run_sequential(specs(top_rate, true))
         .expect("sequential canonical point");
+    let canon = RunBytes::of(&canon_seq);
     let canon_par = fleet(4)
-        .run(specs(top_rate, tasks, reps, true))
+        .run(specs(top_rate, true))
         .expect("parallel canonical point");
-    let determinism_ok = canon_seq.outcome.to_json() == canon_par.outcome.to_json()
-        && canon_seq.merged_trace_jsonl().expect("merged trace")
-            == canon_par.merged_trace_jsonl().expect("merged trace");
+    let determinism_ok = RunBytes::of(&canon_par) == canon;
     println!(
         "determinism (hybrid @ {top_rate}): {}",
         if determinism_ok { "ok" } else { "MISMATCH" }
@@ -305,14 +273,10 @@ fn main() {
     metrics.inc("hybrid.recompiled_steps", recompiled);
     metrics.absorb_perf(&eclair_trace::perf::snapshot());
 
-    let mut points = Vec::with_capacity(rates.len());
-    for &rate in &rates {
-        let pure = fleet(4)
-            .run(specs(rate, tasks, reps, false))
-            .expect("pure sweep point");
-        let hybrid = fleet(4)
-            .run(specs(rate, tasks, reps, true))
-            .expect("hybrid sweep point");
+    let mut points = Vec::with_capacity(RATES.len());
+    for rate in RATES {
+        let pure = fleet(4).run(specs(rate, false)).expect("pure sweep point");
+        let hybrid = fleet(4).run(specs(rate, true)).expect("hybrid sweep point");
         let runs = pure.outcome.records.len();
         let pure_total = pure.outcome.tokens.total_tokens();
         let hybrid_total = hybrid.outcome.tokens.total_tokens();
@@ -349,12 +313,17 @@ fn main() {
 
     // Token floor at rate 0: on drift-free pages the compiled bot must
     // make the FM essentially free.
-    let floor = if fast_mode() { 5.0 } else { 10.0 };
     let base = &points[0];
-    let token_floor = if base.token_ratio >= floor {
-        format!("ok ({:.0}x >= {floor:.0}x at rate 0)", base.token_ratio)
+    let token_floor = if base.token_ratio >= TOKEN_FLOOR {
+        format!(
+            "ok ({:.0}x >= {TOKEN_FLOOR:.0}x at rate 0)",
+            base.token_ratio
+        )
     } else {
-        format!("VIOLATED: {:.1}x < {floor:.0}x at rate 0", base.token_ratio)
+        format!(
+            "VIOLATED: {:.1}x < {TOKEN_FLOOR:.0}x at rate 0",
+            base.token_ratio
+        )
     };
 
     // Completion parity at every rate: the rescue makes hybrid strictly
@@ -414,12 +383,12 @@ fn main() {
     );
 
     let artifact = HybridBenchJson {
-        suite_tasks: tasks,
-        reps,
+        suite_tasks: TASKS,
+        reps: REPS,
         fleet_seed: FLEET_SEED,
         chaos_seed: CHAOS_SEED,
         profile: PROFILE.name().to_string(),
-        fault_rates: rates.clone(),
+        fault_rates: RATES.to_vec(),
         determinism: if determinism_ok { "ok" } else { "MISMATCH" }.to_string(),
         token_floor: token_floor.clone(),
         completion_parity: completion_parity.clone(),
@@ -431,43 +400,23 @@ fn main() {
         epochs,
         economics,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_hybrid.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
+    args.write_artifact("BENCH_hybrid.json", &artifact);
+    args.write_with("--determinism-out", || canon.dump());
+    args.write_metrics(&metrics);
 
-    if let Some(path) = arg_value("--determinism-out") {
-        let det = format!(
-            "{}\ntrace_fnv1a={:016x}\n",
-            canon_seq.outcome.to_json(),
-            fnv1a(&canon_seq.merged_trace_jsonl().expect("merged trace"))
-        );
-        std::fs::write(&path, det).expect("write determinism artifact");
-        println!("wrote {path}");
-    }
-    emit_metrics(&metrics);
-
-    let mut failed = false;
+    let mut failed = Vec::new();
     if !determinism_ok {
-        eprintln!("FAIL: hybrid fleet diverged between sequential and concurrent execution");
-        failed = true;
+        failed
+            .push("hybrid fleet diverged between sequential and concurrent execution".to_string());
     }
     if token_floor.starts_with("VIOLATED") {
-        eprintln!("FAIL: {token_floor}");
-        failed = true;
+        failed.push(token_floor);
     }
     if completion_parity.starts_with("VIOLATED") {
-        eprintln!("FAIL: completion parity — {completion_parity}");
-        failed = true;
+        failed.push(format!("completion parity — {completion_parity}"));
     }
-    if let Err(e) = &recompile_gate {
-        eprintln!("FAIL: recompilation gate — {e}");
-        failed = true;
+    if let Err(e) = recompile_gate {
+        failed.push(format!("recompilation gate — {e}"));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    finish(failed)
 }

@@ -1,31 +1,46 @@
-//! Virtual-time observability bench: run the 30-task suite once,
-//! sequentially, then compute what the fleet's virtual clock says the
-//! same work costs on 1/2/4/8 workers — no threads involved, so the
-//! speedup curve is pure in the seed and identical on every host.
+//! Fleet observability bench: run the 30-task suite (2 reps, GPT-4V,
+//! seed 2024) once, sequentially, then compute what the fleet's virtual
+//! clock says the same work costs on 1/2/4/8 workers — a scheduling
+//! computation, so the speedup curve is pure in the seed and identical
+//! on every host. Then re-run the suite on real worker pools of the same
+//! widths to prove determinism under concurrency.
 //!
 //! Usage:
-//!   obs_bench [--out BENCH_obs.json] [--trace-out PATH] [--metrics-out PATH]
+//!   obs_bench [--out BENCH_obs.json] [--determinism-out PATH]
+//!             [--trace-out PATH] [--metrics-out PATH]
 //!
 //! The artifact carries per-worker virtual makespans and speedups plus
 //! per-span-kind latency percentiles (p50/p95/p99 over inclusive virtual
 //! time). It is byte-reproducible: two back-to-back invocations must
-//! produce identical files. Two shape gates exit 1 when violated:
+//! produce identical files. `--trace-out` exports the sequential run's
+//! merged flight record as JSONL (the input `eclair-analyze` consumes);
+//! `--determinism-out` writes its outcome JSON and trace digest, which
+//! CI compares across invocations; `--metrics-out` writes the
+//! `eclair-obs/v1` snapshot CI gates against a committed baseline.
+//! Three gates exit 1 when violated:
 //!
 //! * `additive`: the span profiler's exclusive times telescope back to
 //!   the root total (same invariant the crucible's `vt-additive` oracle
 //!   pins);
 //! * `speedup_shape`: virtual speedup strictly increases with the worker
-//!   count (non-strict in `ECLAIR_FAST=1`, where the tiny suite can
-//!   saturate early).
+//!   count;
+//! * determinism: pools of 1, 2, 4 and 8 workers each reproduce the
+//!   sequential outcome JSON and merged trace byte-for-byte. The verdict
+//!   goes to stdout, not into the artifact.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-use eclair_bench::{emit_metrics, fast_mode, fleet_metrics, trace_out_arg};
-use eclair_fleet::{virtual_makespan, Fleet, FleetConfig, LatencyStats, RetryPolicy, RunSpec};
+use eclair_bench::{finish, fleet_metrics, suite_specs, Args, RunBytes};
+use eclair_fleet::{virtual_makespan, Fleet, FleetConfig, LatencyStats, RetryPolicy};
 use eclair_fm::FmProfile;
 use eclair_obs::{profile_spans, span_inclusive_durations};
-use eclair_sites::all_tasks;
 use serde::Serialize;
+
+const FLEET_SEED: u64 = 2024;
+const TASKS: usize = 30;
+const REPS: usize = 2;
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// One worker count's virtual-time point.
 #[derive(Debug, Serialize)]
@@ -57,46 +72,17 @@ struct ObsBenchJson {
     points: Vec<ObsPoint>,
 }
 
-fn specs(fleet_seed: u64, tasks: usize, reps: usize) -> Vec<RunSpec> {
-    let suite = all_tasks();
-    let mut out = Vec::with_capacity(tasks * reps);
-    for rep in 0..reps {
-        for (i, task) in suite.iter().take(tasks).enumerate() {
-            let run_id = (rep * tasks + i) as u64;
-            out.push(RunSpec::for_task(
-                fleet_seed,
-                run_id,
-                task.clone(),
-                FmProfile::Gpt4V,
-            ));
-        }
-    }
-    out
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--determinism-out", "--trace-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let fleet_seed = 2024u64;
-    let (tasks, reps, worker_counts): (usize, usize, Vec<usize>) = if fast_mode() {
-        (8, 1, vec![1, 4])
-    } else {
-        (30, 2, vec![1, 2, 4, 8])
-    };
     println!(
         "obs_bench: {} tasks x {} reps = {} runs, GPT-4 profile, seed {}",
-        tasks,
-        reps,
-        tasks * reps,
-        fleet_seed
+        TASKS,
+        REPS,
+        TASKS * REPS,
+        FLEET_SEED
     );
+    let specs = || suite_specs(FLEET_SEED, TASKS, REPS, FmProfile::Gpt4V);
 
     // One sequential execution yields everything: per-run virtual
     // durations are worker-independent, so every worker count's makespan
@@ -104,10 +90,10 @@ fn main() {
     let report = Fleet::new(FleetConfig {
         workers: 1,
         retry: RetryPolicy::default(),
-        fleet_seed,
+        fleet_seed: FLEET_SEED,
         ..FleetConfig::default()
     })
-    .run_sequential(specs(fleet_seed, tasks, reps))
+    .run_sequential(specs())
     .expect("sequential fleet run");
 
     let durations: Vec<u64> = report
@@ -121,14 +107,10 @@ fn main() {
     let mut points = Vec::new();
     let mut speedup_shape_ok = true;
     let mut prev_speedup = 0.0f64;
-    for &workers in &worker_counts {
+    for workers in WORKERS {
         let vt_makespan_us = virtual_makespan(&durations, workers);
         let vt_speedup = vt_total_us as f64 / vt_makespan_us.max(1) as f64;
-        let ok = if fast_mode() {
-            vt_speedup >= prev_speedup
-        } else {
-            vt_speedup > prev_speedup
-        };
+        let ok = vt_speedup > prev_speedup;
         speedup_shape_ok &= ok;
         println!(
             "workers={workers}: virtual makespan {:.1} s, virtual speedup {vt_speedup:.2}x{}",
@@ -167,10 +149,10 @@ fn main() {
     }
 
     let artifact = ObsBenchJson {
-        suite_tasks: tasks,
-        reps,
-        runs: tasks * reps,
-        fleet_seed,
+        suite_tasks: TASKS,
+        reps: REPS,
+        runs: TASKS * REPS,
+        fleet_seed: FLEET_SEED,
         profile: FmProfile::Gpt4V.name().to_string(),
         vt_total_us,
         run_latency_vt_us: report.outcome.latency_vt_us,
@@ -179,32 +161,49 @@ fn main() {
         speedup_shape: if speedup_shape_ok { "ok" } else { "VIOLATED" }.to_string(),
         points,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_obs.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
+    args.write_artifact("BENCH_obs.json", &artifact);
 
-    // Snapshot perf before the optional JSONL export below — rendering
-    // the flight record bumps the export counters, and the snapshot must
-    // not depend on which flags were passed.
+    // Snapshot perf before anything below renders JSONL: the export
+    // counters must not depend on which flags were passed. The pools run
+    // on worker threads, whose counters never reach this snapshot.
     let mut metrics = fleet_metrics(&report.outcome, &report.merged_trace);
     metrics.absorb_perf(&eclair_trace::perf::snapshot());
-    if let Some(path) = trace_out_arg() {
-        std::fs::write(&path, report.merged_trace_jsonl().expect("merged trace"))
-            .expect("write flight record");
-        println!("flight record -> {}", path.display());
-    }
-    emit_metrics(&metrics);
 
+    let sequential = RunBytes::of(&report);
+    args.write_with("--trace-out", || &sequential.trace);
+    let mut diverged = Vec::new();
+    for workers in WORKERS {
+        let pool = Fleet::new(FleetConfig {
+            workers,
+            queue_capacity: 2 * workers,
+            retry: RetryPolicy::default(),
+            fleet_seed: FLEET_SEED,
+        })
+        .run(specs())
+        .expect("pool run");
+        let ok = RunBytes::of(&pool) == sequential;
+        println!(
+            "workers={workers}: pool reproduces the sequential run: {}",
+            if ok { "yes" } else { "NO" }
+        );
+        if !ok {
+            diverged.push(workers);
+        }
+    }
+    args.write_with("--determinism-out", || sequential.dump());
+    args.write_metrics(&metrics);
+
+    let mut failed = Vec::new();
     if !additive_ok {
-        eprintln!("FAIL: virtual-time accounting is not additive over the span tree");
-        std::process::exit(1);
+        failed.push("virtual-time accounting is not additive over the span tree".to_string());
     }
     if !speedup_shape_ok {
-        eprintln!("FAIL: virtual speedup does not increase with worker count");
-        std::process::exit(1);
+        failed.push("virtual speedup does not increase with worker count".to_string());
     }
+    if !diverged.is_empty() {
+        failed.push(format!(
+            "worker pools {diverged:?} diverged from the sequential run"
+        ));
+    }
+    finish(failed)
 }

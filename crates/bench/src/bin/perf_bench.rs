@@ -7,21 +7,24 @@
 //! `BENCH_perf.json`.
 //!
 //! Usage:
-//!   perf_bench [--out BENCH_perf.json]
+//!   perf_bench [--out BENCH_perf.json] [--metrics-out PATH]
 //!
 //! The artifact contains ONLY deterministic quantities — the quarantined
 //! `eclair_trace::perf` counters, the transparency verdicts, and the
 //! allocation micro-counts — so two back-to-back invocations produce
-//! byte-identical files (the CI perf-smoke job diffs them). Wall-clock
-//! speedup is printed to stdout and deliberately never serialized.
-//! `ECLAIR_FAST=1` shrinks the suite for CI.
+//! byte-identical files (CI diffs a fresh one against the committed
+//! bytes). Wall-clock speedup is printed to stdout and deliberately never
+//! serialized.
 
-use eclair_bench::{emit_metrics, fast_mode, fleet_metrics, summary_metrics, SweepResult};
+use std::process::ExitCode;
+
+use eclair_bench::{
+    finish, fleet_metrics, suite_specs, summary_metrics, sweep_with, Args, SweepResult,
+};
 use eclair_core::demonstrate::EvidenceLevel;
-use eclair_core::{Eclair, EclairConfig};
-use eclair_fleet::{Fleet, FleetConfig, FleetReport, RetryPolicy, RunSpec};
+use eclair_core::EclairConfig;
+use eclair_fleet::{Fleet, FleetConfig, FleetReport, RetryPolicy};
 use eclair_fm::FmProfile;
-use eclair_sites::all_tasks;
 use eclair_trace::perf::{self, PerfCounters};
 use serde::Serialize;
 
@@ -88,40 +91,6 @@ struct Leg {
     wall_ms: f64,
 }
 
-fn fleet_specs(fleet_seed: u64, tasks: usize) -> Vec<RunSpec> {
-    all_tasks()
-        .iter()
-        .take(tasks)
-        .enumerate()
-        .map(|(i, task)| RunSpec::for_task(fleet_seed, i as u64, task.clone(), FmProfile::Gpt4V))
-        .collect()
-}
-
-/// `Eclair::automate` over the suite with ONE shared agent at the WD+KF
-/// evidence level — the configuration whose Demonstrate phase actually
-/// runs FM perception over key-frame pairs (WD+KF+ACT reads the action
-/// log and never perceives), so the percept cache sees real traffic.
-fn wdkf_sweep(n_tasks: usize, seed: u64) -> SweepResult {
-    let tasks: Vec<_> = all_tasks().into_iter().take(n_tasks.max(1)).collect();
-    let mut agent = Eclair::new(EclairConfig {
-        seed,
-        evidence: EvidenceLevel::WdKf,
-        ..Default::default()
-    });
-    let mut wins = 0usize;
-    for task in &tasks {
-        if agent.automate(task).success {
-            wins += 1;
-        }
-    }
-    SweepResult {
-        wins,
-        total: tasks.len(),
-        summary: agent.model().trace().summary(),
-        jsonl: agent.model().trace().to_jsonl(),
-    }
-}
-
 fn leg(tasks: usize, seed: u64, use_cache: bool) -> Leg {
     // The kill switch is the one knob that reaches every layer — session
     // construction, model construction, and the per-run executor config
@@ -140,9 +109,19 @@ fn leg(tasks: usize, seed: u64, use_cache: bool) -> Leg {
         fleet_seed: seed,
         ..FleetConfig::default()
     })
-    .run_sequential(fleet_specs(seed, tasks))
+    .run_sequential(suite_specs(seed, tasks, 1, FmProfile::Gpt4V))
     .expect("sequential fleet sweep");
-    let pipeline = wdkf_sweep(tasks, seed);
+    // The pipeline runs at the WD+KF evidence level, whose Demonstrate
+    // phase perceives key-frame pairs (WD+KF+ACT reads the action log and
+    // never perceives), so the percept cache sees real traffic.
+    let pipeline = sweep_with(
+        tasks,
+        EclairConfig {
+            seed,
+            evidence: EvidenceLevel::WdKf,
+            ..Default::default()
+        },
+    );
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let counters = perf::snapshot();
     let fleet_trace = fleet.merged_trace_jsonl().expect("fleet trace");
@@ -180,17 +159,10 @@ fn leg_json(l: &Leg, cache_enabled: bool) -> LegJson {
     }
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--metrics-out"]);
     let seed = 2024u64;
-    let tasks = if fast_mode() { 8 } else { 30 };
+    let tasks = 30;
     println!("perf_bench: {tasks} tasks x (fleet execute + WD+KF pipeline), seed {seed}");
 
     let on = leg(tasks, seed, true);
@@ -272,47 +244,38 @@ fn main() {
         cache_off: leg_json(&off, false),
         trace_export,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_perf.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
+    args.write_artifact("BENCH_perf.json", &artifact);
     // Snapshot the cache-on leg: fleet + pipeline totals plus the leg's
     // own perf counters (pure in the seed either way).
     let mut metrics = fleet_metrics(&on.fleet.outcome, &on.fleet.merged_trace);
     summary_metrics(&mut metrics, &on.pipeline.summary);
     metrics.absorb_perf(&on.counters);
-    emit_metrics(&metrics);
+    args.write_metrics(&metrics);
 
+    let on = &artifact.cache_on;
+    let mut failed = Vec::new();
     if !outcomes_identical || !traces_identical {
-        eprintln!("FAIL: caching changed observable behavior");
-        std::process::exit(1);
+        failed.push("caching changed observable behavior".to_string());
     }
-    if artifact.cache_on.frame_cache_hit_rate < 0.30 {
-        eprintln!(
-            "FAIL: frame-cache hit rate {:.2} below the 0.30 floor",
-            artifact.cache_on.frame_cache_hit_rate
-        );
-        std::process::exit(1);
+    if on.frame_cache_hit_rate < 0.30 {
+        failed.push(format!(
+            "frame-cache hit rate {:.2} below the 0.30 floor",
+            on.frame_cache_hit_rate
+        ));
     }
-    if artifact.cache_on.perceive_memo_rate < 0.20 {
-        eprintln!(
-            "FAIL: perceive memo rate {:.2} below the 0.20 floor",
-            artifact.cache_on.perceive_memo_rate
-        );
-        std::process::exit(1);
+    if on.perceive_memo_rate < 0.20 {
+        failed.push(format!(
+            "perceive memo rate {:.2} below the 0.20 floor",
+            on.perceive_memo_rate
+        ));
     }
     // Layout gate: with the global layout cache in place, full walks must
-    // stay at ≤1/5 of the counts before it (fast suite walked 138 times,
-    // full suite 457).
-    let full_ceiling = if fast_mode() { 27 } else { 91 };
-    if artifact.cache_on.relayouts_full > full_ceiling {
-        eprintln!(
-            "FAIL: {} full relayouts exceeds the {} ceiling",
-            artifact.cache_on.relayouts_full, full_ceiling
-        );
-        std::process::exit(1);
+    // stay at ≤1/5 of the 457 the suite walked before it.
+    if on.relayouts_full > 91 {
+        failed.push(format!(
+            "{} full relayouts exceeds the 91 ceiling",
+            on.relayouts_full
+        ));
     }
+    finish(failed)
 }

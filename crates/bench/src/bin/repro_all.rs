@@ -1,23 +1,22 @@
 //! Run every experiment and print a combined paper-vs-measured summary —
 //! the artifact EXPERIMENTS.md records.
 
+use std::process::ExitCode;
+
 use eclair_bench::*;
 use eclair_core::experiments::{case_study, fig2, table1, table2, table3, table4};
 use eclair_workflow::category::figure2_examples;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--trace-out", "--metrics-out"]);
     eclair_trace::perf::reset();
-    let fast = fast_mode();
     let mut passed = 0usize;
     let mut total = 0usize;
     let mut shapes: Vec<(String, Result<(), String>)> = Vec::new();
     let mut rollup = eclair_trace::RunSummary::default();
 
     println!("=== Table 1 ===\n");
-    let t1 = table1::run(table1::Table1Config {
-        tasks: if fast { 8 } else { 30 },
-        ..Default::default()
-    });
+    let t1 = table1::run(table1::Table1Config::default());
     println!("{}", render_table1(&t1));
     let c = t1.paper_comparison();
     println!("{}", c.render());
@@ -28,11 +27,7 @@ fn main() {
     rollup.merge(&t1.trace);
 
     println!("=== Table 2 ===\n");
-    let t2 = table2::run(table2::Table2Config {
-        tasks: if fast { 8 } else { 30 },
-        reps: if fast { 1 } else { 3 },
-        ..Default::default()
-    });
+    let t2 = table2::run(table2::Table2Config::default());
     println!("{}", render_table2(&t2));
     let c = t2.paper_comparison();
     println!("{}", c.render());
@@ -43,10 +38,7 @@ fn main() {
     rollup.merge(&t2.trace);
 
     println!("=== Table 3 ===\n");
-    let t3 = table3::run(table3::Table3Config {
-        pages: if fast { Some(40) } else { None },
-        ..Default::default()
-    });
+    let t3 = table3::run(table3::Table3Config::default());
     println!("{}", render_table3(&t3));
     let c = t3.paper_comparison();
     println!("{}", c.render());
@@ -57,10 +49,7 @@ fn main() {
     rollup.merge(&t3.trace);
 
     println!("=== Table 4 ===\n");
-    let t4 = table4::run(table4::Table4Config {
-        tasks: if fast { 8 } else { 30 },
-        ..Default::default()
-    });
+    let t4 = table4::run(table4::Table4Config::default());
     println!("{}", render_table4(&t4));
     let c = t4.paper_comparison();
     println!("{}", c.render());
@@ -82,11 +71,7 @@ fn main() {
     shapes.push(("Figure 2".into(), f2.shape_holds()));
 
     println!("\n=== Section 3 case study ===\n");
-    let cs = case_study::run(case_study::CaseStudyConfig {
-        months: if fast { 6 } else { 12 },
-        eclair_reps: if fast { 1 } else { 3 },
-        ..Default::default()
-    });
+    let cs = case_study::run(case_study::CaseStudyConfig::default());
     println!(
         "RPA ramp: {:.2} → {:.2}; ECLAIR day-one completion: {:.2}",
         cs.rpa.initial_accuracy(),
@@ -98,27 +83,15 @@ fn main() {
     rollup.merge(&cs.trace);
 
     println!("\n=== End-to-end sweep ===\n");
-    let sweep = automate_sweep(if fast { 3 } else { 10 }, eclair_core::calibration::SEED);
+    let sweep = automate_sweep(10, eclair_core::calibration::SEED);
     println!(
         "Eclair::automate over {} tasks: {}/{} complete",
         sweep.total, sweep.wins, sweep.total
     );
     println!("trace rollup:\n{}", render_trace_rollup(&sweep.summary));
-    if let Some(path) = trace_out_arg() {
-        match std::fs::write(&path, &sweep.jsonl) {
-            Ok(()) => println!(
-                "flight record: {} events written to {}",
-                sweep.summary.events,
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
     rollup.merge(&sweep.summary);
-    emit_metrics(&summary_snapshot(&rollup));
+    args.write_with("--trace-out", || sweep.jsonl);
+    args.write_metrics(&summary_snapshot(&rollup));
 
     println!("\n=== Summary ===");
     println!("paper-vs-measured cells within band: {passed}/{total}");
@@ -128,7 +101,9 @@ fn main() {
             Err(e) => println!("{name}: shape FAIL — {e}"),
         }
     }
-    if shapes.iter().any(|(_, r)| r.is_err()) {
-        std::process::exit(1);
-    }
+    finish(
+        shapes
+            .into_iter()
+            .filter_map(|(name, r)| r.err().map(|e| format!("{name} shape: {e}"))),
+    )
 }

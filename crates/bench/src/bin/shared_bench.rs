@@ -10,22 +10,22 @@
 //! and emits `BENCH_shared.json`.
 //!
 //! Usage:
-//!   shared_bench [--out BENCH_shared.json]
+//!   shared_bench [--out BENCH_shared.json] [--metrics-out PATH]
 //!
 //! The artifact contains ONLY deterministic quantities. Sequential legs
 //! report exact shard counters; the parallel leg reports only
 //! scheduling-independent aggregates (`hits + coalesced` is fixed by the
 //! workload even though the split between them is not — see
 //! `eclair_shared::StatsSnapshot`). Two back-to-back invocations produce
-//! byte-identical files (the CI shared-smoke job diffs them). Wall-clock
-//! goes to stdout and is deliberately never serialized. `ECLAIR_FAST=1`
-//! shrinks the suite for CI.
+//! byte-identical files (CI diffs a fresh one against the committed
+//! bytes). Wall-clock goes to stdout and is deliberately never serialized.
 
-use eclair_bench::{emit_metrics, fast_mode, fleet_metrics};
+use std::process::ExitCode;
+
+use eclair_bench::{finish, fleet_metrics, suite_specs, Args, RunBytes};
 use eclair_core::execute::GroundingStrategy;
-use eclair_fleet::{specs_for_tasks, Fleet, FleetConfig, FleetReport, RunSpec};
+use eclair_fleet::{Fleet, FleetConfig, FleetReport, RunSpec};
 use eclair_fm::FmProfile;
-use eclair_sites::all_tasks;
 use eclair_trace::perf;
 use serde::Serialize;
 
@@ -100,21 +100,17 @@ struct SharedBenchJson {
 }
 
 fn suite(seed: u64, tasks: usize) -> Vec<RunSpec> {
-    specs_for_tasks(
-        seed,
-        all_tasks().into_iter().take(tasks).collect(),
-        FmProfile::Gpt4V,
-    )
-    .into_iter()
-    .map(|mut s| {
-        // Native grounding perceives every frame it clicks through (the
-        // SoM-HTML default reads ground-truth boxes and never calls the
-        // perception model), so this leg exercises the shared layer the
-        // way a perception-bound fleet would.
-        s.config.strategy = GroundingStrategy::Native;
-        s
-    })
-    .collect()
+    suite_specs(seed, tasks, 1, FmProfile::Gpt4V)
+        .into_iter()
+        .map(|mut s| {
+            // Native grounding perceives every frame it clicks through (the
+            // SoM-HTML default reads ground-truth boxes and never calls the
+            // perception model), so this leg exercises the shared layer the
+            // way a perception-bound fleet would.
+            s.config.strategy = GroundingStrategy::Native;
+            s
+        })
+        .collect()
 }
 
 /// Each task twice at an *identical* run seed (the duplicate re-uses the
@@ -156,17 +152,10 @@ fn fresh_leg(seed: u64, tasks: usize) -> Leg {
     }
 }
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--out", "--metrics-out"]);
     let seed = 2024u64;
-    let tasks = if fast_mode() { 8 } else { 30 };
+    let tasks = 30;
     println!(
         "shared_bench: {tasks} tasks x 2 passes, one fleet vs a fresh fleet per pass, seed {seed}"
     );
@@ -228,9 +217,7 @@ fn main() {
     let rep_seq = fleet(seed, 1)
         .run_sequential(replica_suite(seed, tasks))
         .expect("replica sequential");
-    let matches_sequential = rep.outcome.to_json() == rep_seq.outcome.to_json()
-        && rep.merged_trace_jsonl().expect("replica trace")
-            == rep_seq.merged_trace_jsonl().expect("replica seq trace");
+    let matches_sequential = RunBytes::of(&rep) == RunBytes::of(&rep_seq);
     let replicas_json = ReplicaLegJson {
         workers: 8,
         served_without_compute: rep_stats.hits + rep_stats.coalesced,
@@ -296,39 +283,35 @@ fn main() {
         per_instance: baseline_json,
         replicas: replicas_json,
     };
-    let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_shared.json".to_string());
-    std::fs::write(
-        &out_path,
-        serde_json::to_string(&artifact).expect("bench artifact serializes"),
-    )
-    .expect("write bench artifact");
-    println!("wrote {out_path}");
+    args.write_artifact("BENCH_shared.json", &artifact);
     // Snapshot the shared leg: fleet totals plus its quarantined perf
     // counters (pure in the seed).
     let mut metrics = fleet_metrics(&on_leg.first.outcome, &on_leg.first.merged_trace);
     metrics.absorb_perf(&on_counters);
-    emit_metrics(&metrics);
+    args.write_metrics(&metrics);
 
+    let (shared, replicas) = (&artifact.shared, &artifact.replicas);
+    let mut failed = Vec::new();
     if !outcomes_identical || !traces_identical {
-        eprintln!("FAIL: the shared cache changed observable behavior");
-        std::process::exit(1);
+        failed.push("the shared cache changed observable behavior".to_string());
     }
-    if !artifact.replicas.matches_sequential {
-        eprintln!("FAIL: 8-worker replica run diverged from sequential");
-        std::process::exit(1);
+    if !replicas.matches_sequential {
+        failed.push("8-worker replica run diverged from sequential".to_string());
     }
-    if artifact.shared.cross_run_hit_rate <= artifact.per_instance.cross_run_hit_rate {
-        eprintln!(
-            "FAIL: shared cross-run hit rate {:.2} not above the per-instance baseline {:.2}",
-            artifact.shared.cross_run_hit_rate, artifact.per_instance.cross_run_hit_rate
-        );
-        std::process::exit(1);
+    if shared.cross_run_hit_rate <= artifact.per_instance.cross_run_hit_rate {
+        failed.push(format!(
+            "shared cross-run hit rate {:.2} not above the per-instance baseline {:.2}",
+            shared.cross_run_hit_rate, artifact.per_instance.cross_run_hit_rate
+        ));
     }
-    if artifact.shared.cross_run_hit_rate < 0.95 {
-        eprintln!(
-            "FAIL: cross-run hit rate {:.2} below the 0.95 floor (a re-executed suite should be fully resident)",
-            artifact.shared.cross_run_hit_rate
-        );
-        std::process::exit(1);
+    if shared.cross_run_hit_rate < 0.95 {
+        failed.push(format!(
+            "cross-run hit rate {:.2} below the 0.95 floor (a re-executed suite should be fully resident)",
+            shared.cross_run_hit_rate
+        ));
     }
+    if replicas.served_without_compute == 0 {
+        failed.push("the replica fleet never hit the shared layer".to_string());
+    }
+    finish(failed)
 }

@@ -1,14 +1,16 @@
 //! Regenerate the paper's Table 1 (Demonstrate: SOP generation).
 
-use eclair_bench::{emit_metrics, fast_mode, render_table1, render_trace_rollup, summary_snapshot};
+use std::process::ExitCode;
+
+use eclair_bench::{
+    finish, render_table1, render_trace_rollup, shape_gate, summary_snapshot, Args,
+};
 use eclair_core::experiments::table1;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--metrics-out"]);
     eclair_trace::perf::reset();
-    let cfg = table1::Table1Config {
-        tasks: if fast_mode() { 8 } else { 30 },
-        ..Default::default()
-    };
+    let cfg = table1::Table1Config::default();
     let result = table1::run(cfg);
     println!(
         "Table 1: (Demonstrate) SOP generation, averaged over {} workflows\n",
@@ -18,9 +20,7 @@ fn main() {
     println!();
     println!("{}", result.paper_comparison().render());
     println!("trace rollup:\n{}", render_trace_rollup(&result.trace));
-    match result.shape_holds() {
-        Ok(()) => println!("shape check: PASS (evidence monotonicity holds)"),
-        Err(e) => println!("shape check: FAIL — {e}"),
-    }
-    emit_metrics(&summary_snapshot(&result.trace));
+    let shape = shape_gate(result.shape_holds(), "evidence monotonicity holds");
+    args.write_metrics(&summary_snapshot(&result.trace));
+    finish(shape)
 }

@@ -1,15 +1,16 @@
 //! Regenerate the paper's Table 2 (Execute: suggestion & completion).
 
-use eclair_bench::{emit_metrics, fast_mode, render_table2, render_trace_rollup, summary_snapshot};
+use std::process::ExitCode;
+
+use eclair_bench::{
+    finish, render_table2, render_trace_rollup, shape_gate, summary_snapshot, Args,
+};
 use eclair_core::experiments::table2;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--metrics-out"]);
     eclair_trace::perf::reset();
-    let cfg = table2::Table2Config {
-        tasks: if fast_mode() { 8 } else { 30 },
-        reps: if fast_mode() { 1 } else { 3 },
-        ..Default::default()
-    };
+    let cfg = table2::Table2Config::default();
     let result = table2::run(cfg);
     println!(
         "Table 2: (Execute) GPT-4 average accuracy on next action suggestion\nwith and without SOP guidance ({} workflows, {} reps)\n",
@@ -19,11 +20,10 @@ fn main() {
     println!();
     println!("{}", result.paper_comparison().render());
     println!("trace rollup:\n{}", render_trace_rollup(&result.trace));
-    match result.shape_holds() {
-        Ok(()) => {
-            println!("shape check: PASS (SOPs roughly double completion; grounding gap persists)")
-        }
-        Err(e) => println!("shape check: FAIL — {e}"),
-    }
-    emit_metrics(&summary_snapshot(&result.trace));
+    let shape = shape_gate(
+        result.shape_holds(),
+        "SOPs roughly double completion; grounding gap persists",
+    );
+    args.write_metrics(&summary_snapshot(&result.trace));
+    finish(shape)
 }

@@ -1,26 +1,26 @@
 //! Regenerate the paper's Table 3 (Execute: grounding accuracy).
 
-use eclair_bench::{emit_metrics, fast_mode, render_table3, render_trace_rollup, summary_snapshot};
+use std::process::ExitCode;
+
+use eclair_bench::{
+    finish, render_table3, render_trace_rollup, shape_gate, summary_snapshot, Args,
+};
 use eclair_core::experiments::table3;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--metrics-out"]);
     eclair_trace::perf::reset();
-    let cfg = table3::Table3Config {
-        pages: if fast_mode() { Some(40) } else { None },
-        ..Default::default()
-    };
-    let result = table3::run(cfg);
+    let result = table3::run(table3::Table3Config::default());
     println!("Table 3: (Execute) accuracy on grounding actions to GUI elements");
     println!("(Mind2Web-sim: 302 pages, WebUI-sim: 120 pages; HTML boxes WebUI-only)\n");
     println!("{}", render_table3(&result));
     println!();
     println!("{}", result.paper_comparison().render());
     println!("trace rollup:\n{}", render_trace_rollup(&result.trace));
-    match result.shape_holds() {
-        Ok(()) => println!(
-            "shape check: PASS (SoM transforms GPT-4; CogAgent leads, esp. small elements)"
-        ),
-        Err(e) => println!("shape check: FAIL — {e}"),
-    }
-    emit_metrics(&summary_snapshot(&result.trace));
+    let shape = shape_gate(
+        result.shape_holds(),
+        "SoM transforms GPT-4; CogAgent leads, esp. small elements",
+    );
+    args.write_metrics(&summary_snapshot(&result.trace));
+    finish(shape)
 }

@@ -1,25 +1,25 @@
 //! Regenerate the paper's Table 4 (Validate: self-monitoring).
 
-use eclair_bench::{emit_metrics, fast_mode, render_table4, render_trace_rollup, summary_snapshot};
+use std::process::ExitCode;
+
+use eclair_bench::{
+    finish, render_table4, render_trace_rollup, shape_gate, summary_snapshot, Args,
+};
 use eclair_core::experiments::table4;
 
-fn main() {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--metrics-out"]);
     eclair_trace::perf::reset();
-    let cfg = table4::Table4Config {
-        tasks: if fast_mode() { 8 } else { 30 },
-        ..Default::default()
-    };
-    let result = table4::run(cfg);
+    let result = table4::run(table4::Table4Config::default());
     println!("Table 4: (Validate) performance of the FM on self-validation tasks\n");
     println!("{}", render_table4(&result));
     println!();
     println!("{}", result.paper_comparison().render());
     println!("trace rollup:\n{}", render_trace_rollup(&result.trace));
-    match result.shape_holds() {
-        Ok(()) => {
-            println!("shape check: PASS (workflow-level checks strong; integrity recall collapses)")
-        }
-        Err(e) => println!("shape check: FAIL — {e}"),
-    }
-    emit_metrics(&summary_snapshot(&result.trace));
+    let shape = shape_gate(
+        result.shape_holds(),
+        "workflow-level checks strong; integrity recall collapses",
+    );
+    args.write_metrics(&summary_snapshot(&result.trace));
+    finish(shape)
 }

@@ -14,16 +14,23 @@
 //! | `fig2`   | Figure 2 — workflow-automatability taxonomy |
 //! | `case_study` | Section 3 — RPA deployment dynamics vs ECLAIR |
 //! | `repro_all` | everything above, with a paper-vs-measured summary |
-//! | `fleet_bench` | fleet-mode worker sweep (1/2/4/8) over the 30-task suite → `BENCH_fleet.json` |
+//! | `ablations` | grounding, detector, ensemble and self-consistency ablations |
 //! | `chaos_bench` | fault-rate × profile completion/recovery curves → `BENCH_chaos.json` |
 //! | `crucible_bench` | 64-scenario simulation sweep under the oracle registry → `BENCH_crucible.json` |
 //! | `hybrid_bench` | pure-FM vs compiled-bot crossover + drift-epoch amortization → `BENCH_hybrid.json` |
 //! | `perf_bench` | cache-on vs `ECLAIR_NO_CACHE=1` over the 30-task suite; transparency proof + hit rates → `BENCH_perf.json` |
 //! | `shared_bench` | fleet-wide shared percept cache vs per-instance baseline; cross-run hit rate + single-flight replicas → `BENCH_shared.json` |
+//! | `obs_bench` | virtual-time worker curve and span latencies over the 30-task suite, plus the 1/2/4/8-worker pool determinism proof → `BENCH_obs.json` |
+//! | `corpus_bench` | generated task corpus: sizes, self-validation, manifest digest → `BENCH_corpus.json` |
 //!
-//! Every binary prints the paper's layout followed by a
-//! [`eclair_metrics::PaperComparison`] block. Results are deterministic
-//! under the default seed (`eclair_core::calibration::SEED`).
+//! Every binary runs one size, prints the paper's layout followed by a
+//! [`eclair_metrics::PaperComparison`] block, and exits 1 when one of its
+//! gates fails (see [`finish`]). Results are deterministic under the
+//! default seed (`eclair_core::calibration::SEED`).
+
+mod driver;
+
+pub use driver::{finish, shape_gate, suite_specs, under_chaos, Args, RunBytes};
 
 use eclair_core::experiments::{table1, table2, table3, table4};
 use eclair_core::{Eclair, EclairConfig};
@@ -167,14 +174,22 @@ pub struct SweepResult {
 /// shared agent, so the trace's `seq` stays monotonic across the whole
 /// sweep and the JSONL export is a single coherent flight record.
 pub fn automate_sweep(n_tasks: usize, seed: u64) -> SweepResult {
+    sweep_with(
+        n_tasks,
+        EclairConfig {
+            seed,
+            ..Default::default()
+        },
+    )
+}
+
+/// [`automate_sweep`] with an agent built from `config`.
+pub fn sweep_with(n_tasks: usize, config: EclairConfig) -> SweepResult {
     let tasks: Vec<_> = eclair_sites::all_tasks()
         .into_iter()
         .take(n_tasks.max(1))
         .collect();
-    let mut agent = Eclair::new(EclairConfig {
-        seed,
-        ..Default::default()
-    });
+    let mut agent = Eclair::new(config);
     let mut wins = 0usize;
     for task in &tasks {
         if agent.automate(task).success {
@@ -187,24 +202,6 @@ pub fn automate_sweep(n_tasks: usize, seed: u64) -> SweepResult {
         summary: agent.model().trace().summary(),
         jsonl: agent.model().trace().to_jsonl(),
     }
-}
-
-/// Parse a `--trace-out <path>` argument pair from a raw argv slice.
-pub fn trace_out_arg() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-}
-
-/// Parse a `--metrics-out <path>` argument pair from a raw argv slice.
-pub fn metrics_out_arg() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
 }
 
 /// Fold a [`RunSummary`] into `reg` under the standard counter names
@@ -259,22 +256,6 @@ pub fn fleet_metrics(outcome: &FleetOutcome, merged: &[TraceEvent]) -> MetricsRe
     reg
 }
 
-/// Write `reg`'s snapshot to the `--metrics-out` path if one was passed.
-pub fn emit_metrics(reg: &MetricsRegistry) {
-    if let Some(path) = metrics_out_arg() {
-        std::fs::write(&path, reg.snapshot_json()).expect("write metrics snapshot");
-        println!("metrics snapshot -> {}", path.display());
-    }
-}
-
-/// Whether the harness should run in reduced-size mode (CI smoke runs set
-/// `ECLAIR_FAST=1`).
-pub fn fast_mode() -> bool {
-    std::env::var("ECLAIR_FAST")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,12 +276,6 @@ mod tests {
         let s = render_table4(&t4);
         assert!(s.contains("Integrity Constraint"));
         assert!(s.contains("Workflow Trajectory"));
-    }
-
-    #[test]
-    fn fast_mode_reads_env() {
-        // Can only assert it does not panic and returns a bool.
-        let _ = fast_mode();
     }
 
     #[test]

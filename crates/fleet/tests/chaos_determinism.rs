@@ -4,8 +4,8 @@
 //! must survive fault injection: the fault schedule is a pure function of
 //! `(chaos_seed, run_id, step)`, so a chaos fleet's serialized outcome and
 //! merged trace must be byte-identical across repeated runs *and* across
-//! worker counts. This is the same property the CI `chaos-smoke` job
-//! checks from the outside by diffing two `chaos_bench` determinism dumps.
+//! worker counts. This is the same property the CI `bench` job checks
+//! from the outside by comparing two `chaos_bench` determinism dumps.
 
 use eclair_chaos::ChaosProfile;
 use eclair_fleet::{Fleet, FleetConfig, FleetReport, RetryPolicy, RunSpec};
