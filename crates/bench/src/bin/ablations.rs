@@ -164,6 +164,9 @@ fn main() {
 
     println!("\ntrace rollup (A1 + A2 + A4; A3's ensemble models are internal):");
     println!("{}", render_trace_rollup(&trace));
+    // Snapshot perf before the flight-record sweep runs: the metrics must
+    // not depend on whether --trace-out was passed.
+    let metrics = summary_snapshot(&trace);
     args.write_with("--trace-out", || automate_sweep(10, 7).jsonl);
-    args.write_metrics(&summary_snapshot(&trace));
+    args.write_metrics(&metrics);
 }

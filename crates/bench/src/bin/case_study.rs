@@ -43,12 +43,15 @@ fn main() -> ExitCode {
     );
     println!("\ntrace rollup (ECLAIR side):");
     println!("{}", render_trace_rollup(&result.trace));
+    // Snapshot perf before the flight-record sweep runs: the metrics must
+    // not depend on whether --trace-out was passed.
+    let metrics = summary_snapshot(&result.trace);
     args.write_with("--trace-out", || automate_sweep(10, 7).jsonl);
     println!();
     let shape = shape_gate(
         result.shape_holds(),
         "60%→95% ramp; agent viable from day one",
     );
-    args.write_metrics(&summary_snapshot(&result.trace));
+    args.write_metrics(&metrics);
     finish(shape)
 }

@@ -358,6 +358,80 @@ mod tests {
         assert_eq!(text::stem_overlap("bes", "be"), 0.0);
     }
 
+    /// `n` chars drawn from `alphabet` by a fixed xorshift stream.
+    fn drawn(alphabet: &[char], n: usize, seed: u64) -> String {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                alphabet[(x % alphabet.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    /// `s` with every `k`-th char replaced and chars appended, inserted
+    /// and repeated up to `n` chars: a near copy, so its distance to `s`
+    /// is small.
+    fn edited(s: &str, alphabet: &[char], k: usize, n: usize) -> String {
+        let mut out: Vec<char> = s
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % k == k - 1 {
+                    alphabet[i % alphabet.len()]
+                } else {
+                    c
+                }
+            })
+            .collect();
+        let mut i = 0;
+        while out.len() < n {
+            let c = alphabet[i % alphabet.len()];
+            out.insert((i * 7) % (out.len() + 1), c);
+            i += 1;
+        }
+        out.into_iter().collect()
+    }
+
+    /// The bit-parallel distance covers shorter sides of 1 to 64 chars and
+    /// the row DP the rest: both agree with the oracle on either side of
+    /// the limit, for ASCII and non-ASCII chars (`İ` lowercases to two
+    /// chars, so its lowercased side crosses the limit first), repeated
+    /// chars and either argument order.
+    #[test]
+    fn the_bit_parallel_limit_is_exact() {
+        const ALPHABETS: &[&str] = &["ab", "Invite member", "İΣ·🚀a", "ΣΣσ·ς👍🏽 x"];
+        for alphabet in ALPHABETS {
+            let alphabet: Vec<char> = alphabet.chars().collect();
+            for short in [0, 1, 63, 64, 65, 130] {
+                for long in [short, short + 1, short + 9, 2 * short + 5] {
+                    for seed in 0..3 {
+                        let a = drawn(&alphabet, short, seed);
+                        let far = drawn(&alphabet, long, seed + 100);
+                        let near = edited(&a, &alphabet, 5 + seed as usize, long);
+                        let ascii = drawn(&['a', 'b', 'I'], long, seed + 200);
+                        for b in [far.as_str(), near.as_str(), ascii.as_str()] {
+                            for (x, y) in [(a.as_str(), b), (b, a.as_str())] {
+                                assert_eq!(
+                                    text::edit_distance(x, y),
+                                    super::edit_distance(x, y),
+                                    "edit_distance({x:?}, {y:?})"
+                                );
+                                assert_eq!(
+                                    text::fuzzy_similarity(x, y).to_bits(),
+                                    super::fuzzy_similarity(x, y).to_bits(),
+                                    "fuzzy_similarity({x:?}, {y:?})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The premise the spans rest on, over every Unicode scalar value:
     /// lowercasing is idempotent, so the oracle's second lowercasing of a
     /// token is a no-op, a stem is a prefix of its token, and the joined

@@ -10,10 +10,12 @@
 //! Every similarity here is one kernel over per-thread scratch: an input
 //! is lowercased once into a reusable buffer (in place for ASCII, through
 //! `str::to_lowercase` otherwise), its tokens and stems are byte spans of
-//! that buffer, and the edit-distance row is reused from call to call. A
-//! warm call on ASCII inputs allocates nothing, and every score is
-//! bit-identical to the plain `Vec<String>` formulation the tests keep as
-//! their oracle (DESIGN.md §18).
+//! that buffer, and a slot handed the input it already holds keeps it. The
+//! edit distance is Myers' bit-parallel algorithm when the shorter input
+//! has at most 64 chars, and a reused DP row otherwise. A warm call on
+//! ASCII inputs allocates nothing, nor does a repeated call on any inputs,
+//! and every score is bit-identical to the plain `Vec<String>` formulation
+//! the tests keep as their oracle (DESIGN.md §18).
 
 use std::cell::RefCell;
 
@@ -24,6 +26,9 @@ type Span = (usize, usize);
 /// of the lowercased text.
 #[derive(Default)]
 pub(crate) struct Lowered {
+    /// The input as last loaded, before lowercasing. The default state is
+    /// exactly what loading `""` leaves.
+    raw: String,
     text: String,
     /// Char count of the input *before* lowercasing, which is what the
     /// edit similarity normalizes by (`İ` is one char and lowercases to
@@ -35,8 +40,15 @@ pub(crate) struct Lowered {
 
 impl Lowered {
     /// Lowercase `s` into this buffer and split it into tokens: the
-    /// maximal runs of alphanumeric chars of the lowercased text.
+    /// maximal runs of alphanumeric chars of the lowercased text. Loading
+    /// the input already held does nothing: the state is a function of
+    /// the input, and the whole input is compared, not a hash of it.
     pub(crate) fn load(&mut self, s: &str) {
+        if self.raw == s {
+            return;
+        }
+        self.raw.clear();
+        self.raw.push_str(s);
         if s.is_ascii() {
             self.text.clear();
             self.text.push_str(s);
@@ -90,21 +102,101 @@ impl Lowered {
 }
 
 /// Reusable buffers of the edit distance and the bag overlap.
-#[derive(Default)]
 struct Work {
+    /// Match masks of the bit-parallel distance's pattern, by ASCII code
+    /// point: bit `i` is set when the pattern's char `i` is that char.
+    /// All zero between calls.
+    ascii_masks: [u64; 128],
+    /// Match masks of the pattern's other chars. Empty between calls.
+    other_masks: Vec<(char, u64)>,
     row: Vec<usize>,
-    chars_a: Vec<char>,
-    chars_b: Vec<char>,
     remaining: Vec<Span>,
 }
 
+impl Default for Work {
+    fn default() -> Self {
+        Work {
+            ascii_masks: [0; 128],
+            other_masks: Vec::new(),
+            row: Vec::new(),
+            remaining: Vec::new(),
+        }
+    }
+}
+
 impl Work {
+    /// Levenshtein distance between the chars of `a` and `b`.
     fn edit_distance(&mut self, a: &str, b: &str) -> usize {
-        self.chars_a.clear();
-        self.chars_a.extend(a.chars());
-        self.chars_b.clear();
-        self.chars_b.extend(b.chars());
-        levenshtein(&self.chars_a, &self.chars_b, &mut self.row)
+        let (na, nb) = (a.chars().count(), b.chars().count());
+        let (short, m, long, n) = if na <= nb {
+            (a, na, b, nb)
+        } else {
+            (b, nb, a, na)
+        };
+        match m {
+            0 => n,
+            1..=64 => self.myers(short, m, long),
+            _ => levenshtein(short, long, n, &mut self.row),
+        }
+    }
+
+    /// The match mask of `c`: bit `i` set when the pattern's char `i` is
+    /// `c`.
+    fn mask(&self, c: char) -> u64 {
+        match self.ascii_masks.get(c as usize) {
+            Some(&m) => m,
+            None => self
+                .other_masks
+                .iter()
+                .find(|&&(k, _)| k == c)
+                .map_or(0, |&(_, m)| m),
+        }
+    }
+
+    /// Levenshtein distance between `pattern`, of `m` chars (1 to 64), and
+    /// `text`: Myers' bit-vector algorithm (JACM 1999) in Hyyrö's
+    /// whole-string form (2003). Bit `i` of `vp`/`vn` says that the
+    /// current DP column rises/falls from row `i` to row `i + 1`, and
+    /// `dist` tracks the column's last entry. Only the low `m` bits
+    /// matter: carries and shifts move upward, so the bits above never
+    /// reach them.
+    fn myers(&mut self, pattern: &str, m: usize, text: &str) -> usize {
+        for (i, c) in pattern.chars().enumerate() {
+            let bit = 1u64 << i;
+            match self.ascii_masks.get_mut(c as usize) {
+                Some(mask) => *mask |= bit,
+                None => match self.other_masks.iter_mut().find(|(k, _)| *k == c) {
+                    Some((_, mask)) => *mask |= bit,
+                    None => self.other_masks.push((c, bit)),
+                },
+            }
+        }
+        let last = 1u64 << (m - 1);
+        let (mut vp, mut vn, mut dist) = (!0u64, 0u64, m);
+        for c in text.chars() {
+            let eq = self.mask(c);
+            let xv = eq | vn;
+            let xh = ((eq & vp).wrapping_add(vp) ^ vp) | eq;
+            let hp = vn | !(xh | vp);
+            let hn = vp & xh;
+            if hp & last != 0 {
+                dist += 1;
+            } else if hn & last != 0 {
+                dist -= 1;
+            }
+            // Row 0 of the DP is 0, 1, 2, …: every column steps up there.
+            let hp = (hp << 1) | 1;
+            let hn = hn << 1;
+            vp = hn | !(xv | hp);
+            vn = hp & xv;
+        }
+        for c in pattern.chars() {
+            if let Some(mask) = self.ascii_masks.get_mut(c as usize) {
+                *mask = 0;
+            }
+        }
+        self.other_masks.clear();
+        dist
     }
 }
 
@@ -233,21 +325,17 @@ pub fn contains_all(hay: &str, needle: &str) -> bool {
     })
 }
 
-/// Levenshtein distance over `a` and `b` in one reused row.
-fn levenshtein(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
+/// Levenshtein distance between `a` and `b`, of `nb` chars, in one reused
+/// row of the O(n·m) DP. Only pairs whose shorter side exceeds the
+/// bit-parallel algorithm's 64 chars come here.
+fn levenshtein(a: &str, b: &str, nb: usize, row: &mut Vec<usize>) -> usize {
     row.clear();
-    row.extend(0..=b.len());
-    for (i, ca) in a.iter().enumerate() {
+    row.extend(0..=nb);
+    for (i, ca) in a.chars().enumerate() {
         // `diag` is the previous row's entry left of `row[j + 1]`.
         let mut diag = row[0];
         row[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
+        for (j, cb) in b.chars().enumerate() {
             let above = row[j + 1];
             row[j + 1] = (above + 1)
                 .min(row[j] + 1)
@@ -255,7 +343,7 @@ fn levenshtein(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
             diag = above;
         }
     }
-    row[b.len()]
+    row[nb]
 }
 
 /// Levenshtein distance (for OCR-noise-tolerant comparisons).

@@ -1,6 +1,8 @@
 //! Heap allocations of the lexical kernel, counted by a global allocator
-//! that tallies per thread: warm ASCII calls allocate nothing, and
-//! set-of-marks scoring allocates the same whatever the number of marks.
+//! that tallies per thread: warm ASCII calls allocate nothing, on either
+//! side of the bit-parallel distance's 64-char limit, nor does a repeated
+//! call on non-ASCII inputs, and set-of-marks scoring allocates the same
+//! whatever the number of marks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,6 +64,11 @@ const PAIRS: &[(&str, &str)] = &[
     ("Issue created", "Create issue"),
     ("", ""),
     ("!!!", "Delete project"),
+    // Both sides over 64 chars: the row DP, not the bit-parallel distance.
+    (
+        "Invite a new member to the project and assign them the reviewer role",
+        "Invite new members to this project, then assign each the reviewer role",
+    ),
 ];
 
 #[test]
@@ -92,6 +99,16 @@ fn warm_ascii_calls_allocate_nothing() {
         });
         assert_eq!(n, 0, "edit_distance({a:?}, {b:?})");
     }
+}
+
+#[test]
+fn a_repeated_non_ascii_call_allocates_nothing() {
+    let (a, b) = ("Créer", "Créer un ticket");
+    black_box(fuzzy_similarity(a, b));
+    let n = allocs(|| {
+        black_box(fuzzy_similarity(a, b));
+    });
+    assert_eq!(n, 0, "fuzzy_similarity({a:?}, {b:?}) called again");
 }
 
 fn marks(n: usize) -> Vec<Mark> {
