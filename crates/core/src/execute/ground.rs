@@ -57,9 +57,21 @@ pub struct GroundView<'a> {
     pub scroll_y: i32,
 }
 
+/// Whether a mark's tag/class hint says it is an input box.
+fn inputish(mark: &Mark) -> bool {
+    mark.hint == "input"
+        || mark.hint == "textarea"
+        || mark.hint == "select"
+        || mark.hint == "InputBox"
+}
+
 /// Prepend the nearest caption's text to input-like marks so field queries
-/// can match them ("Title" + placeholder "Add a title").
+/// can match them ("Title" + placeholder "Add a title"). Frames with no
+/// input-like mark are left alone without collecting their captions.
 pub fn associate_captions(marks: &mut [Mark], shot: &Screenshot) {
+    if !marks.iter().any(inputish) {
+        return;
+    }
     let captions: Vec<(&Rect, &str)> = shot
         .items
         .iter()
@@ -67,11 +79,7 @@ pub fn associate_captions(marks: &mut [Mark], shot: &Screenshot) {
         .map(|i| (&i.rect, i.text.as_str()))
         .collect();
     for mark in marks.iter_mut() {
-        let inputish = mark.hint == "input"
-            || mark.hint == "textarea"
-            || mark.hint == "select"
-            || mark.hint == "InputBox";
-        if !inputish {
+        if !inputish(mark) {
             continue;
         }
         let mut best: Option<(&str, i32)> = None;
@@ -88,7 +96,8 @@ pub fn associate_captions(marks: &mut [Mark], shot: &Screenshot) {
             }
         }
         if let Some((caption, _)) = best {
-            mark.text = format!("{caption} {}", mark.text);
+            // `concat` allocates once, at the joined length.
+            mark.text = [caption, " ", &mark.text].concat().into();
         } else {
             // No label above/left: borrow the nearest control caption to
             // the right in the same row ("the dropdown next to 'Add label'").
@@ -103,7 +112,7 @@ pub fn associate_captions(marks: &mut [Mark], shot: &Screenshot) {
                 })
                 .min_by_key(|i| i.rect.x - mark.rect.right());
             if let Some(r) = right {
-                mark.text = format!("{} {}", mark.text, r.text);
+                mark.text = [&mark.text, " ", r.text.as_str()].concat().into();
             }
         }
     }

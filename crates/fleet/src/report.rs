@@ -7,7 +7,7 @@
 
 use eclair_core::execute::executor::RunResult;
 use eclair_fm::{FmProfile, TokenMeter};
-use eclair_trace::{merge_event_streams, merged_jsonl, MergeError, RunSummary, TraceEvent};
+use eclair_trace::{merge_owned_event_streams, merged_jsonl, MergeError, RunSummary, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// How a run ended.
@@ -283,7 +283,8 @@ impl FleetReport {
     ) -> Result<Self, MergeError> {
         runs.sort_by_key(|(r, _)| r.run_id);
         let merged_trace =
-            merge_event_streams(runs.iter().map(|(_, ev)| ev.as_slice()).collect::<Vec<_>>())?;
+            merge_owned_event_streams(runs.iter_mut().map(|(_, ev)| std::mem::take(ev)))?;
+        // Reuses the runs' buffer: no second array of records.
         let records = runs.into_iter().map(|(r, _)| r).collect();
         Ok(Self {
             outcome: FleetOutcome::from_records(fleet_seed, records),

@@ -95,8 +95,8 @@ pub fn native_ground<R: Rng>(
         .map(|(i, e)| Mark {
             label: i as u32,
             rect: e.rect,
-            text: e.text.clone(),
-            hint: visual_hint(e.visual).to_string(),
+            text: e.text.clone().into(),
+            hint: visual_hint(e.visual).into(),
         })
         .collect();
     if marks.is_empty() {
@@ -416,7 +416,7 @@ mod tests {
         let mut ms2 = ms.clone();
         for m in &mut ms2 {
             if m.hint == "svg" {
-                m.text.clear();
+                m.text = "".into();
             }
         }
         let profile = ModelProfile::gpt4v();
@@ -426,7 +426,7 @@ mod tests {
             if let GroundingOutcome::Mark(l) =
                 select_mark(&profile, &ms2, "the settings gear icon", &mut rng)
             {
-                if ms2.iter().find(|m| m.label == l).map(|m| m.hint.as_str()) == Some("svg") {
+                if ms2.iter().find(|m| m.label == l).map(|m| &*m.hint) == Some("svg") {
                     correct += 1;
                 }
             }

@@ -299,7 +299,7 @@ impl FmModel {
         let out = select_mark(&self.profile, &marked.marks, description, &mut self.rng);
         self.account(
             "ground_marks",
-            85 + 4 * marked.shot.items.len() as u64
+            85 + 4 * marked.items as u64
                 + 3 * marked.marks.len() as u64
                 + (description.len() as u64).div_ceil(4),
             8,

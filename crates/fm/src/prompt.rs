@@ -30,7 +30,7 @@ impl Part {
         match self {
             Part::Text(t) => (t.len() as u64).div_ceil(4),
             Part::Image(s) => 85 + 4 * s.items.len() as u64,
-            Part::MarkedImage(m) => 85 + 4 * m.shot.items.len() as u64 + 3 * m.marks.len() as u64,
+            Part::MarkedImage(m) => 85 + 4 * m.items as u64 + 3 * m.marks.len() as u64,
         }
     }
 }

@@ -303,8 +303,8 @@ mod tests {
             .map(|(i, (text, hint))| Mark {
                 label: i as u32,
                 rect: Rect::new(0, 0, 10, 10),
-                text: text.clone(),
-                hint: hint.clone(),
+                text: text.clone().into(),
+                hint: hint.clone().into(),
             })
             .collect()
     }

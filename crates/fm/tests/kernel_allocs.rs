@@ -129,8 +129,8 @@ fn marks(n: usize) -> Vec<Mark> {
             Mark {
                 label: i as u32,
                 rect: Rect::new(0, 20 * i as i32, 80, 20),
-                text: text.to_string(),
-                hint: hint.to_string(),
+                text: text.into(),
+                hint: hint.into(),
             }
         })
         .collect()

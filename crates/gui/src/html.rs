@@ -10,21 +10,25 @@
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Rect;
+use crate::intern::Sym;
 use crate::tree::Page;
 use crate::widget::{WidgetId, WidgetKind};
 use crate::VIEWPORT;
 
 /// One element extracted from the HTML rendering, with its layout box.
+///
+/// The strings are the page's interned handles, so extracting an element
+/// copies no text; each serializes as the JSON string it stands for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HtmlElement {
     /// The widget this element came from (oracle-only; graders use it).
     pub id: WidgetId,
     /// Rendered tag (`button`, `a`, `input`, `svg`, ...).
-    pub tag: String,
+    pub tag: Sym,
     /// Inner text / value attribute as serialized.
-    pub text: String,
+    pub text: Sym,
     /// `name` attribute (empty when absent).
-    pub name: String,
+    pub name: Sym,
     /// Bounding box in viewport coordinates.
     pub rect: Rect,
     /// Whether the underlying widget is interactive.
@@ -96,38 +100,39 @@ fn write_node(page: &Page, id: WidgetId, depth: usize, out: &mut String) {
 
 /// Extract visible elements with their viewport-space boxes, skipping pure
 /// layout containers. `interactive_only` restricts to clickable/editable
-/// elements (the candidate set for set-of-marks).
+/// elements (the candidate set for set-of-marks). Allocates the returned
+/// vector once, sized to the paint order, whatever the page holds.
 pub fn element_boxes(page: &Page, scroll_y: i32, interactive_only: bool) -> Vec<HtmlElement> {
     let viewport = Rect::new(0, scroll_y, VIEWPORT.w, VIEWPORT.h);
-    page.paint_order()
-        .into_iter()
-        .filter_map(|id| {
-            let w = page.get(id);
-            if w.kind.is_container() && w.kind != WidgetKind::Modal {
-                return None;
-            }
-            if interactive_only && !w.kind.is_interactive() {
-                return None;
-            }
-            if w.bounds.w == 0 || w.bounds.h == 0 || !w.bounds.intersects(&viewport) {
-                return None;
-            }
-            Some(HtmlElement {
-                id,
-                tag: w.tag.to_string(),
-                text: match w.kind {
-                    // Icons and images have no *visible* text for a mark
-                    // caption, whatever their markup attributes say.
-                    WidgetKind::Icon | WidgetKind::Image => String::new(),
-                    k if k.is_editable() => w.display_text().to_string(),
-                    _ => w.label.to_string(),
-                },
-                name: w.name.to_string(),
-                rect: w.bounds.offset(0, -scroll_y),
-                interactive: w.kind.is_interactive(),
-            })
+    let order = page.paint_order();
+    let mut out = Vec::with_capacity(order.len());
+    out.extend(order.into_iter().filter_map(|id| {
+        let w = page.get(id);
+        if w.kind.is_container() && w.kind != WidgetKind::Modal {
+            return None;
+        }
+        if interactive_only && !w.kind.is_interactive() {
+            return None;
+        }
+        if w.bounds.w == 0 || w.bounds.h == 0 || !w.bounds.intersects(&viewport) {
+            return None;
+        }
+        Some(HtmlElement {
+            id,
+            tag: w.tag,
+            text: match w.kind {
+                // Icons and images have no *visible* text for a mark
+                // caption, whatever their markup attributes say.
+                WidgetKind::Icon | WidgetKind::Image => Sym::EMPTY,
+                k if k.is_editable() => w.display_sym(),
+                _ => w.label,
+            },
+            name: w.name,
+            rect: w.bounds.offset(0, -scroll_y),
+            interactive: w.kind.is_interactive(),
         })
-        .collect()
+    }));
+    out
 }
 
 #[cfg(test)]

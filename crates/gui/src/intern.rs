@@ -4,8 +4,8 @@
 //! `options`) is stored as a [`Sym`] — a `u32` handle into a process-wide
 //! table of leaked `&'static str`s. Equal strings always intern to the same
 //! id, distinct strings never alias, so widget comparison is an integer
-//! compare and internal signatures (build sig, layout sig) can fold the id
-//! instead of re-hashing the bytes.
+//! compare and in-process keys (the rebuild key, the layout sig) can use
+//! the id instead of re-hashing the bytes.
 //!
 //! Reads do not lock. The table is append-only and its strings are leaked,
 //! so an id, once assigned, names the same `&'static str` forever. Each

@@ -146,6 +146,27 @@ impl PartialEq for Screenshot {
     }
 }
 
+/// Whether `w` paints an item into a frame whose viewport, in page
+/// coordinates, is `viewport`: it is visible, has a size, overlaps the
+/// viewport and has pixels of its own. [`Screenshot::render`] paints
+/// exactly the widgets of the paint order this holds for, and
+/// [`crate::tree::Page::painted_count`] counts them, so the count is the
+/// rendered frame's item count by construction.
+pub(crate) fn paints(w: &Widget, viewport: &Rect) -> bool {
+    let has_pixels = match w.kind {
+        // Pure layout containers have no pixels of their own.
+        WidgetKind::Root
+        | WidgetKind::Section
+        | WidgetKind::Row
+        | WidgetKind::Form
+        | WidgetKind::TableRow => false,
+        // Text-only widgets without text leave the frame blank.
+        WidgetKind::Text | WidgetKind::Badge | WidgetKind::TableCell => !w.label.is_empty(),
+        _ => true,
+    };
+    has_pixels && w.visible && w.bounds.w != 0 && w.bounds.h != 0 && w.bounds.intersects(viewport)
+}
+
 /// Number of signature-grid columns (1280 / 20px cells).
 pub const GRID_COLS: usize = 64;
 /// Number of signature-grid rows (720 / 20px cells).
@@ -170,14 +191,8 @@ impl Screenshot {
         let mut items = Vec::new();
         for &id in paint_order {
             let w = &widgets[id.index()];
-            if !w.visible || w.bounds.w == 0 || w.bounds.h == 0 {
-                continue;
-            }
-            if !w.bounds.intersects(&viewport_rect) {
-                continue;
-            }
-            if let Some(item) = Self::paint_widget(w, scroll_y) {
-                items.push(item);
+            if paints(w, &viewport_rect) {
+                items.push(Self::paint_widget(w, scroll_y));
             }
         }
         if let Some(c) = caret {
@@ -212,15 +227,13 @@ impl Screenshot {
         }
     }
 
-    fn paint_widget(w: &Widget, scroll_y: i32) -> Option<PaintItem> {
+    /// The item a widget that [`paints`] draws.
+    fn paint_widget(w: &Widget, scroll_y: i32) -> PaintItem {
         let rect = w.bounds.offset(0, -scroll_y);
         let grayed = !w.enabled;
         let (visual, text, emphasis) = match w.kind {
             WidgetKind::Heading => (VisualClass::Text, w.label, true),
             WidgetKind::Text | WidgetKind::Badge | WidgetKind::TableCell => {
-                if w.label.is_empty() {
-                    return None;
-                }
                 (VisualClass::Text, w.label, false)
             }
             WidgetKind::Link | WidgetKind::MenuItem | WidgetKind::Tab => {
@@ -246,20 +259,19 @@ impl Screenshot {
             WidgetKind::Modal => (VisualClass::PanelEdge, Sym::EMPTY, false),
             WidgetKind::Toast => (VisualClass::PanelEdge, w.label, true),
             WidgetKind::Divider => (VisualClass::PanelEdge, Sym::EMPTY, false),
-            // Pure layout containers have no pixels of their own.
             WidgetKind::Root
             | WidgetKind::Section
             | WidgetKind::Row
             | WidgetKind::Form
-            | WidgetKind::TableRow => return None,
+            | WidgetKind::TableRow => unreachable!("layout containers do not paint"),
         };
-        Some(PaintItem {
+        PaintItem {
             rect,
             visual,
             text,
             emphasis,
             grayed,
-        })
+        }
     }
 
     /// Stable FNV-1a content hash of the frame: every byte of pixel-visible
@@ -271,8 +283,8 @@ impl Screenshot {
     /// Deliberately hashes item text *bytes*, never interned `Sym` ids:
     /// the hash seeds simulated FM perception, so it must be identical
     /// across processes and across fleet/sequential runs, while intern ids
-    /// depend on first-intern order (thread scheduling). Folding ids is
-    /// reserved for in-process signatures (build sig, layout sig).
+    /// depend on first-intern order (thread scheduling). Using ids is
+    /// reserved for in-process keys (the rebuild key, the layout sig).
     ///
     /// Memoized: frames are immutable once rendered (mutate a clone — the
     /// memo resets on clone — never a frame that has already been hashed).

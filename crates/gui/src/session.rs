@@ -2,6 +2,7 @@
 //! the dispatch loop translating raw pixel-level events into application
 //! semantics.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::event::{Dispatch, EffectKind, Key, SemanticEvent, UserEvent};
@@ -22,6 +23,39 @@ pub fn no_cache_env() -> bool {
     std::env::var("ECLAIR_NO_CACHE")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// Most spare key buffers a thread keeps. A thread drives a session or
+/// two at a time, and each rebuild needs one more buffer for the fresh
+/// key; spares beyond that would only hold memory.
+const SPARE_KEYS: usize = 4;
+
+thread_local! {
+    /// Structural-key buffers no session holds. Launches and rebuilds take
+    /// their buffer from here, and a rebuild or a dropped session returns
+    /// one, so once a thread is warm its keys allocate nothing. (A fresh
+    /// buffer per launch measurably raised peak memory.)
+    static SPARE_KEY_BUFFERS: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `page`'s structural key, in a spare buffer when the thread has one.
+fn new_key(page: &Page) -> Vec<u64> {
+    let mut key = SPARE_KEY_BUFFERS
+        .with_borrow_mut(Vec::pop)
+        .unwrap_or_default();
+    structural_key(page, &mut key);
+    key
+}
+
+/// Keep `key`'s buffer for a later [`new_key`] on this thread.
+fn spare_key(key: Vec<u64>) {
+    // During thread-local teardown the pool may be gone: drop the buffer.
+    let _ = SPARE_KEY_BUFFERS.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        if spare.len() < SPARE_KEYS {
+            spare.push(key);
+        }
+    });
 }
 
 /// Most distinct `(scroll, caret)` frames kept per page epoch. Probing
@@ -107,12 +141,13 @@ pub struct Session {
     /// Scroll-only dispatches leave it alone — the dirty-tracking signal
     /// the frame cache and the tests key off.
     page_epoch: u64,
-    /// FNV signature of the last *un-themed* `app.build()` output that the
-    /// live page was produced from. `None` means the live page has local
+    /// [`structural_key`] of the last *un-themed* `app.build()` output that
+    /// the live page was produced from. Empty means the live page has local
     /// mutations a fresh build would not reproduce (typed drafts, locally
     /// toggled widgets, locally hidden toasts), so the next rebuild must
-    /// take the full transplant path.
-    build_sig: Option<u64>,
+    /// take the full transplant path; a real key is never empty. The
+    /// buffer comes from and goes back to the thread's spare key buffers.
+    build_key: Vec<u64>,
     /// Rendered frames for the current page epoch, keyed by what else
     /// feeds `Screenshot::render`: scroll offset and caret rect.
     frame_cache: std::collections::HashMap<(i32, Option<Rect>), Arc<Screenshot>>,
@@ -133,7 +168,7 @@ impl Session {
         let cache_enabled = !no_cache_env();
         let _cache_off = (!cache_enabled).then(crate::layout::scoped_cache_off);
         let mut page = app.build();
-        let sig = page_structural_sig(&page);
+        let build_key = new_key(&page);
         theme.apply(&mut page);
         Self {
             app,
@@ -146,7 +181,7 @@ impl Session {
             edited: std::collections::HashSet::new(),
             cache_enabled,
             page_epoch: 0,
-            build_sig: Some(sig),
+            build_key,
             frame_cache: std::collections::HashMap::new(),
             frame_order: std::collections::VecDeque::new(),
         }
@@ -200,7 +235,7 @@ impl Session {
         if self.cache_enabled != on {
             self.cache_enabled = on;
             self.invalidate_frames();
-            self.build_sig = None;
+            self.build_key.clear();
         }
     }
 
@@ -227,12 +262,12 @@ impl Session {
     }
 
     /// Record an in-place mutation of the live page: bump the epoch, drop
-    /// cached frames, and forget the build signature so the next rebuild
-    /// takes the full transplant path (a fresh build no longer reproduces
-    /// the live page).
+    /// cached frames, and forget the build key so the next rebuild takes
+    /// the full transplant path (a fresh build no longer reproduces the
+    /// live page).
     fn touch_page(&mut self) {
         self.page_epoch += 1;
-        self.build_sig = None;
+        self.build_key.clear();
         self.invalidate_frames();
     }
 
@@ -241,15 +276,21 @@ impl Session {
         // must neither consult nor seed the process-wide layout cache.
         let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
         let fresh = self.app.build();
-        let sig = page_structural_sig(&fresh);
-        if self.cache_enabled && !url_changed && self.build_sig == Some(sig) {
+        let key = new_key(&fresh);
+        let same_build = key == self.build_key;
+        spare_key(if same_build {
+            key
+        } else {
+            std::mem::replace(&mut self.build_key, key)
+        });
+        if self.cache_enabled && !url_changed && same_build {
             // Skip the rebuild: the app re-rendered a structurally
             // identical screen and the live page has no local mutations a
-            // transplant would need to reconcile (`build_sig` is `Some`),
-            // so layout, theming, and transplanting would reproduce the
-            // page we already hold. Mirror only the session-state
-            // transitions a full rebuild performs so the skip is
-            // unobservable.
+            // transplant would need to reconcile (`build_key` is not
+            // empty), so layout, theming, and transplanting would
+            // reproduce the page we already hold. Mirror only the
+            // session-state transitions a full rebuild performs so the
+            // skip is unobservable.
             self.focus = None;
             self.scroll_y = self.scroll_y.clamp(0, self.max_scroll());
             perf::record(|c| c.relayouts_avoided += 1);
@@ -257,7 +298,6 @@ impl Session {
         }
         self.page_epoch += 1;
         self.invalidate_frames();
-        self.build_sig = Some(sig);
         let old = std::mem::replace(&mut self.page, fresh);
         self.theme.apply(&mut self.page);
         self.focus = None;
@@ -659,56 +699,62 @@ impl Session {
     }
 }
 
-/// FNV-1a signature over everything layout and theming consume from a
-/// freshly built (un-themed) page. Two builds with equal signatures laid
-/// out and themed under the same theme produce identical pages, which is
-/// what licenses [`Session::rebuild`] to skip the reconstruction.
-fn page_structural_sig(page: &Page) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let eat_u64 = |h: &mut u64, v: u64| {
-        for b in v.to_le_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
+/// Hands the key buffer to the next launch on this thread.
+impl Drop for Session {
+    fn drop(&mut self) {
+        spare_key(std::mem::take(&mut self.build_key));
+    }
+}
+
+/// Write into `key` an exact encoding of everything layout and theming
+/// consume from a freshly built (un-themed) page. Two builds with equal
+/// keys, laid out and themed under the same theme, produce identical
+/// pages, which is what licenses [`Session::rebuild`] to skip the
+/// reconstruction. The encoding is injective: every variable-length part
+/// (url, title, options, children) is preceded by its length and every
+/// packed field has bits of its own, so equal keys mean equal inputs and
+/// no collision can skip a rebuild that was needed.
+fn structural_key(page: &Page, key: &mut Vec<u64>) {
+    key.clear();
+    push_bytes(key, page.url.as_bytes());
+    push_bytes(key, page.title.as_bytes());
+    // Interned ids are exact stand-ins for the strings (equal ids iff
+    // equal contents) and never leave the process, so the key uses them —
+    // unlike `frame_hash`, which crosses runs.
+    let pair = |lo: crate::intern::Sym, hi: crate::intern::Sym| {
+        u64::from(lo.id()) | u64::from(hi.id()) << 32
     };
-    fn eat_str(h: &mut u64, s: &str) {
-        for &b in s.as_bytes() {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        }
-        // Separator so ("ab","c") and ("a","bc") differ.
-        *h ^= 0xFF;
-        *h = h.wrapping_mul(PRIME);
-    }
-    eat_str(&mut h, &page.url);
-    eat_str(&mut h, &page.title);
     for w in page.iter() {
-        eat_u64(&mut h, w.kind as u64);
-        // Interned ids are collision-free stand-ins for the strings (equal
-        // ids iff equal contents) and never leave the process, so folding
-        // them is sound here — unlike in `frame_hash`, which crosses runs.
-        eat_u64(&mut h, (w.tag.id() as u64) | ((w.label.id() as u64) << 32));
-        eat_u64(&mut h, (w.name.id() as u64) | ((w.value.id() as u64) << 32));
-        eat_u64(&mut h, w.placeholder.id() as u64);
-        eat_u64(&mut h, w.options.len() as u64);
-        for o in &w.options {
-            eat_u64(&mut h, o.id() as u64);
-        }
-        eat_u64(
-            &mut h,
-            w.level as u64 | (w.enabled as u64) << 8 | (w.visible as u64) << 9,
-        );
-        eat_u64(&mut h, w.parent.map_or(u64::MAX, |p| p.0 as u64));
-        eat_u64(&mut h, w.children.len() as u64);
-        for c in &w.children {
-            eat_u64(&mut h, c.0 as u64);
-        }
-        eat_u64(&mut h, w.fixed_w.map_or(u64::MAX, u64::from));
-        eat_u64(&mut h, w.fixed_h.map_or(u64::MAX, u64::from));
+        key.extend_from_slice(&[
+            w.kind as u64,
+            pair(w.tag, w.label),
+            pair(w.name, w.value),
+            u64::from(w.placeholder.id()),
+            w.options.len() as u64,
+        ]);
+        key.extend(w.options.iter().map(|o| u64::from(o.id())));
+        key.extend_from_slice(&[
+            u64::from(w.level) | u64::from(w.enabled) << 8 | u64::from(w.visible) << 9,
+            w.parent.map_or(u64::MAX, |p| u64::from(p.0)),
+            w.children.len() as u64,
+        ]);
+        key.extend(w.children.iter().map(|c| u64::from(c.0)));
+        key.extend_from_slice(&[
+            w.fixed_w.map_or(u64::MAX, u64::from),
+            w.fixed_h.map_or(u64::MAX, u64::from),
+        ]);
     }
-    h
+}
+
+/// Append `bytes` as its length, then the bytes packed 8 to a word (the
+/// last word zero-padded).
+fn push_bytes(key: &mut Vec<u64>, bytes: &[u8]) {
+    key.push(bytes.len() as u64);
+    key.extend(bytes.chunks(8).map(|chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    }));
 }
 
 #[cfg(test)]
@@ -1051,6 +1097,94 @@ mod tests {
             eclair_trace::perf::snapshot().relayouts_avoided,
             before.relayouts_avoided + 1
         );
+    }
+
+    /// App whose every `tick` re-renders the same screen with one label
+    /// changed.
+    struct RelabelApp(u32);
+    impl GuiApp for RelabelApp {
+        fn name(&self) -> &str {
+            "relabel"
+        }
+        fn url(&self) -> String {
+            "/relabel".into()
+        }
+        fn build(&self) -> Page {
+            let mut b = PageBuilder::new("Relabel", "/relabel");
+            b.heading(1, "Orders");
+            b.button("go", format!("Refresh {}", self.0));
+            b.finish()
+        }
+        fn on_event(&mut self, _: SemanticEvent) -> bool {
+            false
+        }
+        fn tick(&mut self) -> bool {
+            self.0 += 1;
+            true
+        }
+    }
+
+    #[test]
+    fn a_rebuild_that_changes_one_label_never_skips() {
+        let mut s = Session::new(Box::new(RelabelApp(0)));
+        for n in 1..=3 {
+            let before = eclair_trace::perf::snapshot();
+            let epoch = s.page_epoch();
+            s.tick();
+            assert_eq!(
+                eclair_trace::perf::snapshot().relayouts_avoided,
+                before.relayouts_avoided,
+                "a changed label must rebuild"
+            );
+            assert!(s.page_epoch() > epoch);
+            let label = format!("Refresh {n}");
+            assert!(s.page().find_by_label(&label, true).is_some(), "{label}");
+        }
+    }
+
+    fn key_of(page: &Page) -> Vec<u64> {
+        let mut key = Vec::new();
+        structural_key(page, &mut key);
+        key
+    }
+
+    #[test]
+    fn structural_keys_separate_what_a_flat_encoding_would_merge() {
+        assert_eq!(key_of(&SteadyApp.build()), key_of(&SteadyApp.build()));
+
+        // The url/title boundary.
+        let a = PageBuilder::new("c", "ab").finish();
+        let b = PageBuilder::new("bc", "a").finish();
+        assert_ne!(key_of(&a), key_of(&b), "(\"ab\", \"c\") vs (\"a\", \"bc\")");
+
+        // An option moved from one select to its neighbour.
+        let two_selects = |first: &[&str], second: &[&str]| {
+            let mut b = PageBuilder::new("S", "/s");
+            b.select("one", "One", first, None);
+            b.select("two", "Two", second, None);
+            b.finish()
+        };
+        assert_ne!(
+            key_of(&two_selects(&["x", "y"], &["z"])),
+            key_of(&two_selects(&["x"], &["y", "z"]))
+        );
+
+        // A child moved from one container to another.
+        let mut b = PageBuilder::new("C", "/c");
+        let first = b.row(|b| {
+            b.button("p", "P");
+            b.button("q", "Q");
+        });
+        let second = b.row(|b| {
+            b.button("r", "R");
+        });
+        let page = b.finish();
+        let mut moved = page.clone();
+        let q = moved.find_by_name("q").unwrap();
+        moved.get_mut(first).children.remove_item(q);
+        moved.get_mut(second).children.insert(0, q);
+        moved.get_mut(q).parent = Some(second);
+        assert_ne!(key_of(&page), key_of(&moved));
     }
 
     #[test]

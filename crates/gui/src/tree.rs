@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::Point;
+use crate::geometry::{Point, Rect};
 use crate::intern::Sym;
 use crate::layout;
 use crate::widget::{Widget, WidgetId, WidgetKind};
@@ -238,6 +238,19 @@ impl Page {
             scroll_y,
             None,
         )
+    }
+
+    /// How many items [`Page::screenshot_at`] paints at `scroll_y`, counted
+    /// without rendering the frame. The count does not depend on paint
+    /// order, so a plain walk of the shown widgets gives it.
+    pub fn painted_count(&self, scroll_y: i32) -> usize {
+        let viewport = Rect::new(0, scroll_y, crate::VIEWPORT.w, crate::VIEWPORT.h);
+        let mut n = 0;
+        self.walk(self.root, &mut |w| {
+            n += usize::from(crate::screenshot::paints(w, &viewport));
+            true
+        });
+        n
     }
 
     /// Recompute the full layout (after any geometry change: structural
@@ -797,5 +810,54 @@ mod tests {
             .position(|&id| p.get(id).name == "after")
             .unwrap();
         assert!(modal_pos > after_pos, "modal painted after page content");
+    }
+
+    #[test]
+    fn painted_count_equals_the_rendered_item_count() {
+        // Every case where a widget in the paint order paints nothing, plus
+        // a password box (its bullets are the one text a render interns).
+        let mut b = PageBuilder::new("Paint", "/paint");
+        b.heading(1, "Sign in");
+        let pw = b.password("pw", "Password");
+        b.text("");
+        b.badge("");
+        b.table(
+            &["Name", ""],
+            &[
+                vec![
+                    (String::new(), None),
+                    ("open".into(), Some("open-1".into())),
+                ],
+                vec![(String::new(), None), (String::new(), None)],
+            ],
+        );
+        let hidden = b.section(|b| {
+            b.button("ghost", "Ghost");
+            b.text("Not shown");
+        });
+        for i in 0..40 {
+            b.text(format!("filler {i}"));
+        }
+        b.modal("confirm", |b| {
+            b.text("Really?");
+            b.button("yes", "Yes");
+        });
+        b.toast("Saved");
+        let mut p = b.finish();
+        p.get_mut(pw).value = "hunter2".into();
+        p.get_mut(hidden).visible = false;
+        p.relayout();
+        let max_scroll = (p.content_height as i32 - crate::VIEWPORT.h as i32).max(0);
+        assert!(max_scroll > 800, "the page scrolls past every offset below");
+        for scroll in [0, 400, 800, max_scroll, max_scroll + 10_000] {
+            let shot = p.screenshot_at(scroll);
+            assert_eq!(p.painted_count(scroll), shot.items.len(), "scroll {scroll}");
+        }
+        let shown = p.paint_order().len();
+        assert!(
+            p.painted_count(0) < shown,
+            "some shown widgets paint nothing"
+        );
+        assert!(p.painted_count(0) > 0);
     }
 }

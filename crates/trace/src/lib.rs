@@ -40,7 +40,7 @@ pub use audit::{
 };
 pub use event::{EventKind, GroundingOutcome, SpanKind, TraceEvent};
 pub use flight::{FlightTail, FLIGHT_TAIL_LEN};
-pub use merge::{merge_event_streams, merged_jsonl, MergeError};
+pub use merge::{merge_event_streams, merge_owned_event_streams, merged_jsonl, MergeError};
 pub use recorder::{read_jsonl, render_log, SpanId, TraceRecorder};
 pub use summary::{PhaseStats, RunSummary, TokenHistogram, HIST_BOUNDS};
 pub use vclock::{fault_cost_weight, CostKind, VirtualClock};

@@ -59,24 +59,49 @@ impl std::error::Error for MergeError {}
 /// and parent references are offset so ids stay unique across runs. An
 /// empty stream list merges to an empty stream; a structurally invalid
 /// input stream is refused with [`MergeError::MalformedStream`].
+///
+/// Borrows the streams, so every event is copied into the result; a
+/// caller that owns its streams saves the copies with
+/// [`merge_owned_event_streams`].
 pub fn merge_event_streams<'a, I>(streams: I) -> Result<Vec<TraceEvent>, MergeError>
 where
     I: IntoIterator<Item = &'a [TraceEvent]>,
 {
-    // Collect once to size the output exactly: growth-reallocation would
-    // move every already-spliced event (and its heap strings) each time
-    // the vector doubled.
-    let streams: Vec<&'a [TraceEvent]> = streams.into_iter().collect();
-    let mut out = Vec::with_capacity(streams.iter().map(|s| s.len()).sum());
-    let mut next_seq = 0u64;
+    splice(streams.into_iter().collect(), |out, events| {
+        out.extend_from_slice(events)
+    })
+}
+
+/// [`merge_event_streams`] for streams the caller owns: each event moves
+/// into the result instead of being copied. Same output, same errors.
+pub fn merge_owned_event_streams<I>(streams: I) -> Result<Vec<TraceEvent>, MergeError>
+where
+    I: IntoIterator<Item = Vec<TraceEvent>>,
+{
+    splice(streams.into_iter().collect(), |out, events| {
+        out.extend(events)
+    })
+}
+
+/// Audit each stream, `append` it to the result, and renumber the
+/// appended events in place. The streams come collected so the output
+/// can be sized exactly: growth-reallocation would move every
+/// already-spliced event (and its heap strings) each time the vector
+/// doubled.
+fn splice<S: AsRef<[TraceEvent]>>(
+    streams: Vec<S>,
+    append: impl Fn(&mut Vec<TraceEvent>, S),
+) -> Result<Vec<TraceEvent>, MergeError> {
+    let mut out = Vec::with_capacity(streams.iter().map(|s| s.as_ref().len()).sum());
     let mut span_base = 0u64;
     for (stream, events) in streams.into_iter().enumerate() {
-        audit_spans(events).map_err(|error| MergeError::MalformedStream { stream, error })?;
+        audit_spans(events.as_ref())
+            .map_err(|error| MergeError::MalformedStream { stream, error })?;
+        let start = out.len();
+        append(&mut out, events);
         let mut max_span = span_base;
-        for e in events {
-            let mut e = e.clone();
-            e.seq = next_seq;
-            next_seq += 1;
+        for (seq, e) in (start as u64..).zip(&mut out[start..]) {
+            e.seq = seq;
             if e.parent != 0 {
                 e.parent += span_base;
             }
@@ -87,7 +112,6 @@ where
                 }
                 _ => {}
             }
-            out.push(e);
         }
         span_base = max_span;
     }
@@ -195,6 +219,38 @@ mod tests {
             MergeError::MalformedStream { stream, .. } => assert_eq!(stream, 1),
             other => panic!("expected MalformedStream, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn owned_merge_equals_the_borrowing_merge() {
+        let a = one_run(&["a1", "a2"]);
+        let b = one_run(&["b1"]);
+        let c = one_run(&[]);
+        let mut dangling = one_run(&["broken"]);
+        dangling.remove(0);
+        let fixtures: [Vec<Vec<TraceEvent>>; 5] = [
+            vec![],
+            vec![vec![], vec![]],
+            vec![a.clone(), b.clone(), c.clone()],
+            vec![b.clone(), a.clone()],
+            vec![a, dangling, b],
+        ];
+        let mut refused = Vec::new();
+        for streams in fixtures {
+            let borrowed = merge_event_streams(streams.iter().map(Vec::as_slice));
+            let owned = merge_owned_event_streams(streams);
+            assert_eq!(owned, borrowed);
+            match owned {
+                Ok(merged) => assert_eq!(merged_jsonl(&merged), merged_jsonl(&borrowed.unwrap())),
+                Err(MergeError::MalformedStream { stream, .. }) => refused.push(stream),
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(
+            refused,
+            [1],
+            "the dangling stream is refused at its position"
+        );
     }
 
     #[test]

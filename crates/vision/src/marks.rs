@@ -5,15 +5,22 @@
 //! a label number. The candidate boxes come either from the page's HTML
 //! ("HTML" source) or from the simulated YOLO detector ("YOLO" source).
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use eclair_gui::html::{element_boxes, HtmlElement};
+use eclair_gui::html::element_boxes;
 use eclair_gui::{Page, Rect, Screenshot};
 
 use crate::detector::{Detection, YoloNasSim};
 
 /// One numbered mark over a candidate box.
+///
+/// `text` and `hint` borrow the page's interned strings for HTML marks
+/// and own their text for detector marks (OCR output, class names) and
+/// for caption-joined text. Either form serializes as the same JSON
+/// string.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mark {
     /// The numeric label drawn on screen (1-based, reading order).
@@ -22,17 +29,17 @@ pub struct Mark {
     pub rect: Rect,
     /// Text associated with the candidate (OCR'd for detector marks, exact
     /// for HTML marks).
-    pub text: String,
+    pub text: Cow<'static, str>,
     /// Coarse class/tag hint ("button", "a", "input", or a detector class).
-    pub hint: String,
+    pub hint: Cow<'static, str>,
 }
 
-/// A screenshot plus its overlaid marks — the exact artifact handed to the
-/// grounding model.
+/// The marks overlaid on a frame — the exact artifact handed to the
+/// grounding model, which prices the frame by its painted item count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MarkedScreenshot {
-    /// The underlying frame.
-    pub shot: Screenshot,
+    /// Number of items painted in the underlying frame.
+    pub items: usize,
     /// Marks in label order.
     pub marks: Vec<Mark>,
 }
@@ -44,53 +51,49 @@ impl MarkedScreenshot {
     }
 }
 
-fn reading_order(rects: &mut [(Rect, String, String)]) {
-    // Stable top-to-bottom, left-to-right ordering, as SoM tooling numbers
-    // elements.
-    rects.sort_by_key(|(r, _, _)| (r.y, r.x));
+/// Number `marks` 1.. in stable top-to-bottom, left-to-right order, as SoM
+/// tooling numbers elements.
+fn number_in_reading_order(marks: &mut [Mark]) {
+    marks.sort_by_key(|m| (m.rect.y, m.rect.x));
+    for (i, m) in marks.iter_mut().enumerate() {
+        m.label = i as u32 + 1;
+    }
 }
 
-/// Build marks from ground-truth HTML element boxes (Table 3 "HTML").
+/// Build marks from ground-truth HTML element boxes (Table 3 "HTML"). The
+/// marks borrow the page's interned strings and the frame is counted, not
+/// rendered, so nothing is allocated per element.
 pub fn marks_from_html(page: &Page, scroll_y: i32) -> MarkedScreenshot {
-    let shot = page.screenshot_at(scroll_y);
-    let elements: Vec<HtmlElement> = element_boxes(page, scroll_y, true);
-    let mut triples: Vec<(Rect, String, String)> = elements
+    let mut marks: Vec<Mark> = element_boxes(page, scroll_y, true)
         .into_iter()
-        .map(|e| (e.rect, e.text, e.tag))
-        .collect();
-    reading_order(&mut triples);
-    let marks = triples
-        .into_iter()
-        .enumerate()
-        .map(|(i, (rect, text, hint))| Mark {
-            label: i as u32 + 1,
-            rect,
-            text,
-            hint,
+        .map(|e| Mark {
+            label: 0,
+            rect: e.rect,
+            text: Cow::Borrowed(e.text.as_str()),
+            hint: Cow::Borrowed(e.tag.as_str()),
         })
         .collect();
-    MarkedScreenshot { shot, marks }
+    number_in_reading_order(&mut marks);
+    MarkedScreenshot {
+        items: page.painted_count(scroll_y),
+        marks,
+    }
 }
 
 /// Build marks from detector output (Table 3 "YOLO").
 pub fn marks_from_detections(shot: &Screenshot, detections: &[Detection]) -> MarkedScreenshot {
-    let mut triples: Vec<(Rect, String, String)> = detections
+    let mut marks: Vec<Mark> = detections
         .iter()
-        .map(|d| (d.rect, d.text.clone(), format!("{:?}", d.visual)))
-        .collect();
-    reading_order(&mut triples);
-    let marks = triples
-        .into_iter()
-        .enumerate()
-        .map(|(i, (rect, text, hint))| Mark {
-            label: i as u32 + 1,
-            rect,
-            text,
-            hint,
+        .map(|d| Mark {
+            label: 0,
+            rect: d.rect,
+            text: Cow::Owned(d.text.clone()),
+            hint: Cow::Owned(format!("{:?}", d.visual)),
         })
         .collect();
+    number_in_reading_order(&mut marks);
     MarkedScreenshot {
-        shot: shot.clone(),
+        items: shot.items.len(),
         marks,
     }
 }
@@ -166,6 +169,37 @@ mod tests {
         };
         let m2 = marks_via_detector(&shot, &blind, &mut StdRng::seed_from_u64(5));
         assert!(m2.marks.is_empty());
+    }
+
+    #[test]
+    fn borrowed_and_owned_marks_round_trip_through_json() {
+        let p = page();
+        let html = marks_from_html(&p, 0);
+        let borrowed = html
+            .marks
+            .iter()
+            .find(|m| m.text == "Invite member")
+            .expect("the invite button is marked");
+        assert!(matches!(borrowed.text, Cow::Borrowed(_)));
+        assert!(matches!(borrowed.hint, Cow::Borrowed(_)));
+        let owned = Mark {
+            text: Cow::Owned(borrowed.text.to_string()),
+            hint: Cow::Owned(borrowed.hint.to_string()),
+            ..borrowed.clone()
+        };
+        let json = serde_json::to_string(borrowed).unwrap();
+        assert_eq!(serde_json::to_string(&owned).unwrap(), json);
+        for mark in [borrowed, &owned] {
+            let back: Mark = serde_json::from_str(&serde_json::to_string(mark).unwrap()).unwrap();
+            assert_eq!(&back, mark);
+        }
+        let marked = MarkedScreenshot {
+            items: html.items,
+            marks: vec![borrowed.clone(), owned],
+        };
+        let back: MarkedScreenshot =
+            serde_json::from_str(&serde_json::to_string(&marked).unwrap()).unwrap();
+        assert_eq!((back.items, back.marks), (marked.items, marked.marks));
     }
 
     #[test]
