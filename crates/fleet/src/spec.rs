@@ -114,8 +114,8 @@ impl RunSpec {
         self
     }
 
-    /// Toggle every cache for every attempt of this run: the frame and
-    /// layout caches and the percept cache, a fleet's included. Caching
+    /// Toggle every cache for every attempt of this run: the frame cache,
+    /// the identical-rebuild skip and the percept cache, a fleet's included. Caching
     /// is transparent (identical records and traces either way), so this
     /// only changes wall-clock and the quarantined perf counters;
     /// `ECLAIR_NO_CACHE=1` still force-disables them at execution time.

@@ -4,8 +4,10 @@
 //! `options`) is stored as a [`Sym`] — a `u32` handle into a process-wide
 //! table of leaked `&'static str`s. Equal strings always intern to the same
 //! id, distinct strings never alias, so widget comparison is an integer
-//! compare and in-process keys (the rebuild key, the layout sig) can use
-//! the id instead of re-hashing the bytes.
+//! compare and in-process keys (the rebuild key) can use the id instead
+//! of re-hashing the bytes. The table starts out holding `PREINTERNED`:
+//! the empty string and the widget kinds' default tags, at fixed ids, so
+//! a new widget's tag is a constant and never a lookup.
 //!
 //! Reads do not lock. The table is append-only and its strings are leaked,
 //! so an id, once assigned, names the same `&'static str` forever. Each
@@ -17,14 +19,14 @@
 //! a time, so the mirror's vector and map grow at exactly the sizes the
 //! table's did.
 //!
-//! Determinism contract: ids are assigned in first-intern order, which is
-//! deterministic for a single-threaded driver and *stable enough* for every
-//! in-process use (ids never cross a process boundary — serde writes the
-//! resolved string, never the id, and `frame_hash` folds string bytes, not
-//! ids, so all byte-compared artifacts are interner-blind). New strings are
-//! added under the table's `Mutex`, so the *aggregate* counters are
-//! deterministic even under a multi-worker fleet: each unique string is a
-//! miss exactly once, every other call is a hit (from the thread's map or
+//! Determinism contract: the other ids are assigned in first-intern order,
+//! which is deterministic when one thread interns and *stable enough* for
+//! every in-process use (ids never cross a process boundary — serde
+//! writes the resolved string, never the id, and `frame_hash` folds string
+//! bytes, not ids, so all byte-compared artifacts are interner-blind). New
+//! strings are added under the table's `Mutex`, so the *aggregate* counters
+//! are deterministic even under a multi-worker fleet: each unique string is
+//! a miss exactly once, every other call is a hit (from the thread's map or
 //! from the table), and merged totals are a pure function of the seeds.
 
 use std::cell::RefCell;
@@ -49,15 +51,22 @@ struct Interner {
     strings: Vec<&'static str>,
 }
 
+/// The strings the table holds from its creation, each at its index as
+/// id: the empty string, then the HTML tags the widget kinds render as
+/// by default ([`crate::WidgetKind::default_tag`]), so that a new widget
+/// takes its tag's handle without a lookup.
+pub(crate) const PREINTERNED: [&str; 19] = [
+    "", "body", "div", "form", "h2", "p", "button", "a", "input", "textarea", "select", "tr", "td",
+    "li", "svg", "img", "dialog", "span", "hr",
+];
+
 fn table() -> MutexGuard<'static, Interner> {
     static TABLE: OnceLock<Mutex<Interner>> = OnceLock::new();
     TABLE
         .get_or_init(|| {
-            let mut map = HashMap::new();
-            map.insert("", 0u32);
             Mutex::new(Interner {
-                map,
-                strings: vec![""],
+                map: PREINTERNED.into_iter().zip(0..).collect(),
+                strings: PREINTERNED.to_vec(),
             })
         })
         .lock()
@@ -130,6 +139,13 @@ pub fn table_size() -> usize {
 impl Sym {
     /// The empty string's handle (id 0, pre-interned).
     pub const EMPTY: Sym = Sym(0);
+
+    /// The handle of `PREINTERNED[id]`, which the table holds from its
+    /// creation.
+    pub(crate) const fn preinterned(id: usize) -> Sym {
+        assert!(id < PREINTERNED.len(), "not a pre-interned id");
+        Sym(id as u32)
+    }
 
     /// Resolve to the interned string.
     pub fn as_str(self) -> &'static str {

@@ -8,29 +8,12 @@
 //! they move every subsequent widget, which is what breaks position-based
 //! RPA selectors.
 //!
-//! Two perf layers sit on top of the walk, neither of which may change a
-//! single computed pixel:
-//!
-//! 1. **Scratch pooling** — per-walk allocations (child id stacks, the
-//!    write log) come from a thread-local scratch reused across walks and
-//!    truncated wholesale at the end, the scoped-arena discipline.
-//! 2. **A global layout cache** — a full walk reads only a small slice of
-//!    each widget (kind / visibility / level / fixed size / label /
-//!    children), so its output is a pure function of a cheap signature
-//!    over interned ids. The cache replays the exact bounds writes of an
-//!    earlier identical walk (the write log, not a bounds-per-slot dump,
-//!    so widgets the walk never touched keep their stale bounds exactly
-//!    as a real walk would leave them). Lookups compute inside the lock,
-//!    so each unique signature misses exactly once even under a
-//!    multi-worker fleet and the aggregate counters stay deterministic.
-//!
-//! `ECLAIR_NO_CACHE=1` bypasses the cache (checked per walk, so a harness
-//! can flip it between legs), and [`scoped_cache_off`] bypasses it for one
-//! session on one thread, mirroring `Session::set_cache_enabled`.
+//! A walk writes every bounds it computes straight into the widgets. Its
+//! one per-walk buffer, the child-id stack the container pass iterates,
+//! is per-thread scratch that keeps its capacity across walks, so a warm
+//! walk allocates nothing.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
 
 use eclair_trace::perf;
 
@@ -52,225 +35,67 @@ pub const PAGE_W: u32 = 1280;
 /// Modal dialog width.
 pub const MODAL_W: u32 = 520;
 
-/// Entries the layout cache refuses to grow past. No eviction: page
-/// signatures repeat heavily (that is the whole point), so a cap merely
-/// bounds a pathological workload without perturbing steady-state counts.
-const LAYOUT_CACHE_CAP: usize = 8192;
-
 fn text_width(s: &str, char_w: u32) -> u32 {
     s.chars().count() as u32 * char_w
 }
 
-/// Per-thread scratch reused across layout walks: the child-id stack the
-/// container pass iterates (replacing a per-container `Vec` clone) and the
-/// bounds write log. Freed wholesale (truncated) when a walk finishes;
-/// capacity persists.
-#[derive(Default)]
-struct Scratch {
-    kids: Vec<WidgetId>,
-    log: Vec<WriteEntry>,
-}
-
-#[derive(Clone, Copy)]
-struct WriteEntry {
-    slot: u32,
-    bounds: Rect,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-    static CACHE_OFF_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// RAII guard disabling the layout cache on this thread while held.
-/// Mirrors `Session::set_cache_enabled(false)`: the session's layouts run
-/// for real without poking the process-wide cache.
-pub struct LayoutCacheOff(());
-
-/// Disable the layout cache on this thread until the guard drops.
-pub fn scoped_cache_off() -> LayoutCacheOff {
-    CACHE_OFF_DEPTH.with(|d| d.set(d.get() + 1));
-    LayoutCacheOff(())
-}
-
-impl Drop for LayoutCacheOff {
-    fn drop(&mut self) {
-        CACHE_OFF_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-fn cache_bypassed() -> bool {
-    // Re-read the env every walk: perf_bench flips ECLAIR_NO_CACHE between
-    // legs of one process.
-    crate::session::no_cache_env() || CACHE_OFF_DEPTH.with(|d| d.get() > 0)
-}
-
-struct CacheEntry {
-    writes: Vec<WriteEntry>,
-    content_height: u32,
-}
-
-fn layout_cache() -> &'static Mutex<HashMap<u64, Arc<CacheEntry>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<CacheEntry>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-#[inline]
-fn fnv(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Signature over exactly the widget fields a layout walk reads: kind,
-/// visibility, heading level, pinned sizes, label (as its interned id —
-/// equal ids iff equal strings, so this is collision-free by construction
-/// for the label part), and child topology. Values, names, placeholders,
-/// options, and enabled flags are invisible to layout and deliberately
-/// excluded — editing a field must not change the page's layout identity.
-fn layout_sig(widgets: &[Widget], root: WidgetId) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv(h, root.0 as u64);
-    h = fnv(h, widgets.len() as u64);
-    for w in widgets {
-        h = fnv(
-            h,
-            (w.kind as u64)
-                | ((w.visible as u64) << 8)
-                | ((w.level as u64) << 16)
-                | ((w.label.id() as u64) << 32),
-        );
-        h = fnv(
-            h,
-            (w.fixed_w.map_or(0, |v| v as u64 + 1)) | (w.fixed_h.map_or(0, |v| v as u64 + 1) << 32),
-        );
-        h = fnv(h, w.children.len() as u64);
-        for c in &w.children {
-            h = fnv(h, c.0 as u64);
-        }
-    }
-    h
+    /// The child-id stack of this thread's walks: each container pushes
+    /// its children as a range and truncates back when done, instead of
+    /// cloning a `Vec` per container. Empty between walks.
+    static KIDS: RefCell<Vec<WidgetId>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Lay out the widgets from `root`; fills every widget's `bounds` in
-/// page coordinates and returns the total content height.
-///
-/// Served from the global layout cache when an identical walk already ran
-/// (`layout_cache_hits`); otherwise the full walk runs (`relayouts_full`)
-/// and its write log is cached for replay.
+/// page coordinates and returns the total content height. Every call is
+/// a full walk (`relayouts_full`).
 pub fn layout_page(widgets: &mut [Widget], root: WidgetId) -> u32 {
-    if cache_bypassed() {
-        perf::record(|c| c.relayouts_full += 1);
-        return SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.log.clear();
-            let h = walk_page(widgets, root, scratch);
-            scratch.kids.clear();
-            scratch.log.clear();
-            h
-        });
-    }
-    let sig = layout_sig(widgets, root);
-    let mut cache = layout_cache().lock().expect("layout cache poisoned");
-    if let Some(entry) = cache.get(&sig).cloned() {
-        drop(cache);
-        for e in &entry.writes {
-            widgets[e.slot as usize].bounds = e.bounds;
-        }
-        perf::record(|c| c.layout_cache_hits += 1);
-        return entry.content_height;
-    }
-    // Compute inside the lock: concurrent walks of the same signature
-    // coalesce into one miss, keeping fleet-merged counts deterministic.
-    let h = SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        scratch.log.clear();
-        let h = walk_page(widgets, root, scratch);
-        if cache.len() < LAYOUT_CACHE_CAP {
-            cache.insert(
-                sig,
-                Arc::new(CacheEntry {
-                    writes: scratch.log.clone(),
-                    content_height: h,
-                }),
-            );
-        }
-        scratch.kids.clear();
-        scratch.log.clear();
-        h
-    });
     perf::record(|c| c.relayouts_full += 1);
-    h
-}
-
-/// The uncached full walk: flow pass from the root, then the modal and
-/// toast overlay passes. Every bounds write goes through the scratch log
-/// so a cache entry can replay it exactly.
-fn walk_page(widgets: &mut [Widget], root: WidgetId, scratch: &mut Scratch) -> u32 {
-    let avail = PAGE_W - 2 * PAGE_PAD;
-    let used = place(
-        widgets,
-        scratch,
-        root,
-        PAGE_PAD as i32,
-        PAGE_PAD as i32,
-        avail,
-    );
-    // Overlay pass: modals are centered over the content, not in flow.
-    let modal_start = scratch.kids.len();
-    scratch.kids.extend(
-        widgets
-            .iter()
-            .filter(|w| w.kind == WidgetKind::Modal && w.visible)
-            .map(|w| w.id),
-    );
-    for i in modal_start..scratch.kids.len() {
-        let m = scratch.kids[i];
-        let x = ((PAGE_W - MODAL_W) / 2) as i32;
-        place(widgets, scratch, m, x, 140, MODAL_W);
-    }
-    scratch.kids.truncate(modal_start);
-    place_toasts(widgets, scratch);
-    used.h + 2 * PAGE_PAD
+    KIDS.with_borrow_mut(|kids| {
+        let avail = PAGE_W - 2 * PAGE_PAD;
+        let used = place(widgets, kids, root, PAGE_PAD as i32, PAGE_PAD as i32, avail);
+        // Overlay pass: modals are centered over the content, not in flow.
+        kids.extend(
+            widgets
+                .iter()
+                .filter(|w| w.kind == WidgetKind::Modal && w.visible)
+                .map(|w| w.id),
+        );
+        for i in 0..kids.len() {
+            let m = kids[i];
+            let x = ((PAGE_W - MODAL_W) / 2) as i32;
+            place(widgets, kids, m, x, 140, MODAL_W);
+        }
+        kids.clear();
+        place_toasts(widgets, kids);
+        used.h + 2 * PAGE_PAD
+    })
 }
 
 /// Toasts float at the top-right, stacked, without reflowing content.
-fn place_toasts(widgets: &mut [Widget], scratch: &mut Scratch) {
-    let start = scratch.kids.len();
-    scratch.kids.extend(
+fn place_toasts(widgets: &mut [Widget], kids: &mut Vec<WidgetId>) {
+    let start = kids.len();
+    kids.extend(
         widgets
             .iter()
             .filter(|w| w.kind == WidgetKind::Toast && w.visible)
             .map(|w| w.id),
     );
     let mut toast_y = 16i32;
-    for i in start..scratch.kids.len() {
-        let t = scratch.kids[i];
+    for &t in &kids[start..] {
         let size = leaf_size(&widgets[t.index()], 480);
         let x = PAGE_W as i32 - size.w as i32 - 24;
-        set_bounds(widgets, scratch, t.0, Rect::new(x, toast_y, size.w, size.h));
+        widgets[t.index()].bounds = Rect::new(x, toast_y, size.w, size.h);
         toast_y += size.h as i32 + 8;
     }
-    scratch.kids.truncate(start);
-}
-
-#[inline]
-fn set_bounds(widgets: &mut [Widget], scratch: &mut Scratch, slot: u32, bounds: Rect) {
-    widgets[slot as usize].bounds = bounds;
-    scratch.log.push(WriteEntry { slot, bounds });
+    kids.truncate(start);
 }
 
 /// Recursively place `id` at (x, y) with `avail_w` of horizontal room.
 /// Returns the size consumed.
 fn place(
     widgets: &mut [Widget],
-    scratch: &mut Scratch,
+    kids: &mut Vec<WidgetId>,
     id: WidgetId,
     x: i32,
     y: i32,
@@ -281,7 +106,7 @@ fn place(
         (w.kind, w.visible, w.fixed_w, !w.children.is_empty())
     };
     if !visible {
-        set_bounds(widgets, scratch, id.0, Rect::new(x, y, 0, 0));
+        widgets[id.index()].bounds = Rect::new(x, y, 0, 0);
         return Size::new(0, 0);
     }
     // A pinned width constrains the widget and everything inside it.
@@ -289,18 +114,18 @@ fn place(
     // Table cells holding widgets (e.g. a link) lay out as containers.
     let as_container = kind.is_container() || (kind == WidgetKind::TableCell && has_children);
     let size = if as_container {
-        place_container(widgets, scratch, id, x, y, avail_w, kind)
+        place_container(widgets, kids, id, x, y, avail_w, kind)
     } else {
         leaf_size(&widgets[id.index()], avail_w)
     };
-    set_bounds(widgets, scratch, id.0, Rect::new(x, y, size.w, size.h));
+    widgets[id.index()].bounds = Rect::new(x, y, size.w, size.h);
     size
 }
 
 #[allow(clippy::too_many_arguments)]
 fn place_container(
     widgets: &mut [Widget],
-    scratch: &mut Scratch,
+    kids: &mut Vec<WidgetId>,
     id: WidgetId,
     x: i32,
     y: i32,
@@ -314,13 +139,9 @@ fn place_container(
         WidgetKind::Root => (0, V_GAP, H_GAP, false),
         _ => (0, V_GAP, H_GAP, false),
     };
-    // Children go onto the shared scratch stack (a range per recursion
-    // level) instead of a cloned Vec per container.
-    let start = scratch.kids.len();
-    scratch
-        .kids
-        .extend_from_slice(widgets[id.index()].children.as_slice());
-    let end = scratch.kids.len();
+    let start = kids.len();
+    kids.extend_from_slice(widgets[id.index()].children.as_slice());
+    let end = kids.len();
     let inner_w = avail_w.saturating_sub(2 * pad).max(CHAR_W);
     let mut cx = x + pad as i32;
     let mut cy = y + pad as i32;
@@ -328,13 +149,13 @@ fn place_container(
     let mut max_h = 0u32;
     let mut first = true;
     for i in start..end {
-        let child = scratch.kids[i];
+        let child = kids[i];
         let ck = widgets[child.index()].kind;
         if ck == WidgetKind::Modal || ck == WidgetKind::Toast {
             continue; // the overlay pass places modals and toasts
         }
         if !widgets[child.index()].visible {
-            set_bounds(widgets, scratch, child.0, Rect::new(cx, cy, 0, 0));
+            widgets[child.index()].bounds = Rect::new(cx, cy, 0, 0);
             continue;
         }
         if horizontal {
@@ -342,7 +163,7 @@ fn place_container(
                 cx += gap_h as i32;
             }
             let remaining = (x + pad as i32 + inner_w as i32 - cx).max(CHAR_W as i32) as u32;
-            let s = place(widgets, scratch, child, cx, cy, remaining);
+            let s = place(widgets, kids, child, cx, cy, remaining);
             cx += s.w as i32;
             max_h = max_h.max(s.h);
             max_w = ((cx - x) as u32).saturating_sub(pad);
@@ -350,14 +171,14 @@ fn place_container(
             if !first {
                 cy += gap_v as i32;
             }
-            let s = place(widgets, scratch, child, cx, cy, inner_w);
+            let s = place(widgets, kids, child, cx, cy, inner_w);
             cy += s.h as i32;
             max_w = max_w.max(s.w);
             max_h = ((cy - y) as u32).saturating_sub(pad);
         }
         first = false;
     }
-    scratch.kids.truncate(start);
+    kids.truncate(start);
     let w = match kind {
         WidgetKind::Row | WidgetKind::TableRow => max_w + 2 * pad,
         // Sections and forms shrink-wrap their content so that, inside a
@@ -578,45 +399,5 @@ mod tests {
         let btn = p.get(p.find_by_name("save").unwrap()).bounds;
         assert_eq!(icon.size_bucket(), SizeBucket::Small);
         assert_eq!(btn.size_bucket(), SizeBucket::Medium);
-    }
-
-    #[test]
-    fn cached_walk_replays_identical_bounds() {
-        // Two separately built copies of an identical page must come out
-        // of `finish()` with identical geometry whether the second build
-        // was served from the layout cache or not.
-        let build = || {
-            let mut b = PageBuilder::new("cache-replay", "/cache-replay");
-            b.heading(1, "Cache replay");
-            b.form("f", |b| {
-                b.text_input("x", "Field", "hint");
-                b.button("go", "Go");
-            });
-            b.finish()
-        };
-        let a = build();
-        let b = build();
-        for (wa, wb) in a.iter().zip(b.iter()) {
-            assert_eq!(wa.bounds, wb.bounds, "{:?} '{}'", wa.kind, wa.label);
-        }
-        assert_eq!(a.content_height, b.content_height);
-    }
-
-    #[test]
-    fn layout_sig_ignores_values_but_not_labels() {
-        let build = |label: &str, value: &str| {
-            let mut b = PageBuilder::new("sig", "/sig");
-            let id = b.text_input("f", label, "hint");
-            let mut p = b.finish();
-            p.get_mut(id).value = value.into();
-            p
-        };
-        let base = build("Name", "");
-        let edited = build("Name", "Ada");
-        let relabeled = build("Full name", "");
-        use crate::tree::Page;
-        let sig = |p: &Page| layout_sig(p.widgets(), p.root());
-        assert_eq!(sig(&base), sig(&edited), "values are layout-invisible");
-        assert_ne!(sig(&base), sig(&relabeled), "labels size widgets");
     }
 }

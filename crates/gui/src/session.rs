@@ -9,14 +9,14 @@ use crate::event::{Dispatch, EffectKind, Key, SemanticEvent, UserEvent};
 use crate::geometry::{Point, Rect};
 use crate::screenshot::Screenshot;
 use crate::theme::Theme;
-use crate::tree::Page;
+use crate::tree::{keep_spare, take_spare, Page, Spares};
 use crate::widget::{WidgetId, WidgetKind};
 use crate::VIEWPORT;
 
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, the layout cache, and the percept cache
+/// off the frame cache, the identical-rebuild skip and the percept cache
 /// everywhere. The cache-transparency invariant says flipping this must
 /// not change a single serialized byte.
 pub fn no_cache_env() -> bool {
@@ -25,37 +25,18 @@ pub fn no_cache_env() -> bool {
         .unwrap_or(false)
 }
 
-/// Most spare key buffers a thread keeps. A thread drives a session or
-/// two at a time, and each rebuild needs one more buffer for the fresh
-/// key; spares beyond that would only hold memory.
-const SPARE_KEYS: usize = 4;
-
 thread_local! {
     /// Structural-key buffers no session holds. Launches and rebuilds take
     /// their buffer from here, and a rebuild or a dropped session returns
-    /// one, so once a thread is warm its keys allocate nothing. (A fresh
-    /// buffer per launch measurably raised peak memory.)
-    static SPARE_KEY_BUFFERS: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
+    /// one, so once a thread is warm its keys allocate nothing.
+    static SPARE_KEYS: Spares<u64> = const { RefCell::new(Vec::new()) };
 }
 
 /// `page`'s structural key, in a spare buffer when the thread has one.
 fn new_key(page: &Page) -> Vec<u64> {
-    let mut key = SPARE_KEY_BUFFERS
-        .with_borrow_mut(Vec::pop)
-        .unwrap_or_default();
+    let mut key = take_spare(&SPARE_KEYS);
     structural_key(page, &mut key);
     key
-}
-
-/// Keep `key`'s buffer for a later [`new_key`] on this thread.
-fn spare_key(key: Vec<u64>) {
-    // During thread-local teardown the pool may be gone: drop the buffer.
-    let _ = SPARE_KEY_BUFFERS.try_with(|spare| {
-        let mut spare = spare.borrow_mut();
-        if spare.len() < SPARE_KEYS {
-            spare.push(key);
-        }
-    });
 }
 
 /// Most distinct `(scroll, caret)` frames kept per page epoch. Probing
@@ -132,10 +113,9 @@ pub struct Session {
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
     edited: std::collections::HashSet<crate::intern::Sym>,
-    /// Whether the frame cache, the identical-rebuild skip and the layout
-    /// cache are on. Defaults to `!no_cache_env()`; flipping it must be
-    /// unobservable in any serialized artifact (the transparency
-    /// invariant).
+    /// Whether the frame cache and the identical-rebuild skip are on.
+    /// Defaults to `!no_cache_env()`; flipping it must be unobservable in
+    /// any serialized artifact (the transparency invariant).
     cache_enabled: bool,
     /// Bumped every time the live page is mutated in place or replaced.
     /// Scroll-only dispatches leave it alone — the dirty-tracking signal
@@ -166,7 +146,6 @@ impl Session {
     /// Start a session with an explicit theme (used by the drift studies).
     pub fn with_theme(app: Box<dyn GuiApp>, theme: Theme) -> Self {
         let cache_enabled = !no_cache_env();
-        let _cache_off = (!cache_enabled).then(crate::layout::scoped_cache_off);
         let mut page = app.build();
         let build_key = new_key(&page);
         theme.apply(&mut page);
@@ -228,9 +207,9 @@ impl Session {
         (self.page.content_height as i32 - VIEWPORT.h as i32).max(0)
     }
 
-    /// Turn the frame cache, the identical-rebuild skip and the layout
-    /// cache on or off for this session (the `ECLAIR_NO_CACHE=1` path,
-    /// and per-run toggles).
+    /// Turn the frame cache and the identical-rebuild skip on or off for
+    /// this session (the `ECLAIR_NO_CACHE=1` path, and per-run toggles).
+    /// Layout is a plain walk either way.
     pub fn set_cache_enabled(&mut self, on: bool) {
         if self.cache_enabled != on {
             self.cache_enabled = on;
@@ -272,17 +251,17 @@ impl Session {
     }
 
     fn rebuild(&mut self, url_changed: bool) {
-        // While this session runs cache-disabled, the layout engine below
-        // must neither consult nor seed the process-wide layout cache.
-        let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
         let fresh = self.app.build();
         let key = new_key(&fresh);
         let same_build = key == self.build_key;
-        spare_key(if same_build {
-            key
-        } else {
-            std::mem::replace(&mut self.build_key, key)
-        });
+        keep_spare(
+            &SPARE_KEYS,
+            if same_build {
+                key
+            } else {
+                std::mem::replace(&mut self.build_key, key)
+            },
+        );
         if self.cache_enabled && !url_changed && same_build {
             // Skip the rebuild: the app re-rendered a structurally
             // identical screen and the live page has no local mutations a
@@ -566,7 +545,6 @@ impl Session {
                     self.after_app_event();
                 } else {
                     // App does not track it; excise the subtree locally.
-                    let _cache_off = (!self.cache_enabled).then(crate::layout::scoped_cache_off);
                     self.page.remove_subtree(id);
                     self.page.relayout();
                     self.touch_page();
@@ -702,7 +680,7 @@ impl Session {
 /// Hands the key buffer to the next launch on this thread.
 impl Drop for Session {
     fn drop(&mut self) {
-        spare_key(std::mem::take(&mut self.build_key));
+        keep_spare(&SPARE_KEYS, std::mem::take(&mut self.build_key));
     }
 }
 
@@ -1045,10 +1023,6 @@ mod tests {
 
     #[test]
     fn unchanged_rebuild_is_skipped_but_edit_dirties_it() {
-        // Engine-level counters (relayouts_full / layout_cache_hits) are
-        // asserted as deltas: the global layout cache is shared across
-        // tests in this binary, so whether a given build walks or replays
-        // depends on what ran before.
         eclair_trace::perf::reset();
         let mut s = Session::new(Box::new(SteadyApp));
         assert!(s.cache_enabled());
@@ -1084,10 +1058,9 @@ mod tests {
             "dirty page cannot skip"
         );
         assert_eq!(
-            (c.relayouts_full + c.layout_cache_hits)
-                - (before.relayouts_full + before.layout_cache_hits),
+            c.relayouts_full - before.relayouts_full,
             1,
-            "dirty page ran exactly one layout (walked or replayed)"
+            "dirty page ran exactly one layout walk"
         );
         let q = s.page().find_by_name("q").unwrap();
         assert_eq!(s.page().get(q).value, "draft", "transplant kept the draft");
@@ -1293,8 +1266,7 @@ mod tests {
             (0, 0),
             "cache-off lookups never touch the counters"
         );
-        // And rebuilds always take the full path: a real walk, with the
-        // global layout cache neither consulted nor seeded.
+        // And rebuilds always take the full path: a real walk.
         let before = eclair_trace::perf::snapshot();
         s.tick();
         let after = eclair_trace::perf::snapshot();
@@ -1303,10 +1275,6 @@ mod tests {
             after.relayouts_full - before.relayouts_full,
             1,
             "cache off: the walk really ran"
-        );
-        assert_eq!(
-            after.layout_cache_hits, before.layout_cache_hits,
-            "cache off: the global layout cache is not consulted"
         );
     }
 

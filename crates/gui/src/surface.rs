@@ -41,7 +41,7 @@ pub trait GuiSurface {
     /// same scroll/caret state may return the same allocation.
     fn screenshot(&mut self) -> Arc<Screenshot>;
 
-    /// Turn the caching layer (frame cache, layout cache) on or
+    /// Turn the caching layer (frame cache, identical-rebuild skip) on or
     /// off beneath this surface. Must be observationally transparent:
     /// only `eclair_trace::perf` counters may notice. Wrappers forward to
     /// the inner session.

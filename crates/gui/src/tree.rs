@@ -3,15 +3,22 @@
 //! A [`Page`] stores widgets in one append-only `Vec` indexed by
 //! [`WidgetId`]: cheap to clone for screenshot snapshots, friendly to the
 //! borrow checker, and directly sliceable for the layout engine. Apps
-//! rebuild their page from scratch after every event, so nothing is ever
+//! rebuild their page from scratch after every event, so no slot is ever
 //! compacted or reused: widgets added to a built page (drift banners,
 //! injected popups) are appended, and [`Page::remove_subtree`] leaves
 //! inert tombstones behind.
 //!
 //! [`PageBuilder`] is the DSL the simulated sites use to describe screens;
 //! `finish()` runs the layout engine so every widget has pixel bounds.
-//! After any geometry change, [`Page::relayout`] re-runs the full walk,
-//! which the global layout cache usually replays.
+//! After any geometry change, [`Page::relayout`] re-runs the full walk.
+//!
+//! Widget vectors are recycled: a dropped page hands its vector, cleared,
+//! to a short per-thread list of spares, and [`PageBuilder::new`] takes
+//! one from there, so an app that re-renders its screen after every event
+//! builds into a vector that already has room.
+
+use std::cell::RefCell;
+use std::thread::LocalKey;
 
 use serde::{Deserialize, Serialize};
 
@@ -19,6 +26,44 @@ use crate::geometry::{Point, Rect};
 use crate::intern::Sym;
 use crate::layout;
 use crate::widget::{Widget, WidgetId, WidgetKind};
+
+/// Most vectors a thread keeps in one list of spares. A thread drives a
+/// session or two at a time, and a rebuild holds the live page and its
+/// key beside the fresh build and its key, so a few spares serve every
+/// build; more would only hold memory.
+const SPARES: usize = 4;
+
+/// Vectors no page or session holds, kept per thread for reuse: cleared,
+/// but with their capacity, so a warm thread builds pages and rebuild
+/// keys without growing vectors.
+pub(crate) type Spares<T> = RefCell<Vec<Vec<T>>>;
+
+/// A spare vector from `spares` when this thread has one, else a new one.
+pub(crate) fn take_spare<T>(spares: &'static LocalKey<Spares<T>>) -> Vec<T> {
+    spares
+        .try_with(|s| s.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Clear `v` and keep it for a later [`take_spare`] on this thread,
+/// unless `spares` is full.
+pub(crate) fn keep_spare<T>(spares: &'static LocalKey<Spares<T>>, mut v: Vec<T>) {
+    v.clear();
+    // During thread-local teardown the list may be gone: drop the vector.
+    let _ = spares.try_with(|s| {
+        let mut list = s.borrow_mut();
+        if list.len() < SPARES {
+            list.push(v);
+        }
+    });
+}
+
+thread_local! {
+    /// Widget vectors of dropped pages.
+    static SPARE_WIDGETS: Spares<Widget> = const { RefCell::new(Vec::new()) };
+}
 
 /// A fully built screen: widgets + metadata + computed layout.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -254,8 +299,7 @@ impl Page {
     }
 
     /// Recompute the full layout (after any geometry change: structural
-    /// mutation, theme application, a dismissed popup). Usually served
-    /// from the global layout cache.
+    /// mutation, theme application, a dismissed popup).
     pub fn relayout(&mut self) {
         self.content_height = layout::layout_page(&mut self.widgets, self.root);
     }
@@ -329,6 +373,13 @@ impl Page {
     }
 }
 
+/// Hands the widget vector to the next [`PageBuilder::new`] on this thread.
+impl Drop for Page {
+    fn drop(&mut self) {
+        keep_spare(&SPARE_WIDGETS, std::mem::take(&mut self.widgets));
+    }
+}
+
 /// Builder DSL for pages. Containers nest through closures:
 ///
 /// ```
@@ -357,10 +408,12 @@ impl PageBuilder {
     pub fn new(title: impl Into<String>, url: impl Into<String>) -> Self {
         let mut root = Widget::new(WidgetKind::Root);
         root.id = WidgetId(0);
+        let mut widgets = take_spare(&SPARE_WIDGETS);
+        widgets.push(root);
         Self {
             title: title.into(),
             url: url.into(),
-            widgets: vec![root],
+            widgets,
             stack: vec![WidgetId(0)],
         }
     }
@@ -631,7 +684,7 @@ impl PageBuilder {
                             Some(name) => {
                                 let cid = b.attach(c);
                                 b.stack.push(cid);
-                                b.link(name.clone(), text.clone());
+                                b.link(name.as_str(), text.as_str());
                                 b.stack.pop();
                             }
                             None => {
@@ -810,6 +863,28 @@ mod tests {
             .position(|&id| p.get(id).name == "after")
             .unwrap();
         assert!(modal_pos > after_pos, "modal painted after page content");
+    }
+
+    #[test]
+    fn a_recycled_widget_vector_builds_the_same_page() {
+        let spares = || SPARE_WIDGETS.with(|s| s.borrow().len());
+        let json = |p: &Page| serde_json::to_string(p).unwrap();
+        let fresh = std::thread::spawn(move || {
+            assert_eq!(spares(), 0, "a fresh thread has no spare vector");
+            json(&sample_page())
+        })
+        .join()
+        .unwrap();
+        // Leave a spare holding more, and other, widgets than the page.
+        let mut b = PageBuilder::new("Other", "/other");
+        for i in 0..40 {
+            b.button(format!("b{i}"), format!("Button {i}"));
+        }
+        drop(b.finish());
+        assert_eq!(spares(), 1);
+        let page = sample_page();
+        assert_eq!(spares(), 0, "the build took the spare vector");
+        assert_eq!(json(&page), fresh);
     }
 
     #[test]

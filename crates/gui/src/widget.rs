@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::ChildVec;
 use crate::geometry::Rect;
-use crate::intern::Sym;
+use crate::intern::{Sym, PREINTERNED};
 
 /// Index of a widget in its [`crate::tree::Page`]. Ids are stable only
 /// within one build of a page; navigation or rebuild invalidates them, which
@@ -129,28 +129,32 @@ impl WidgetKind {
 
     /// Default HTML tag this kind renders as (overridable per widget).
     pub fn default_tag(self) -> &'static str {
+        PREINTERNED[self.default_tag_id()]
+    }
+
+    /// The id of [`WidgetKind::default_tag`], which the interner holds
+    /// from its creation at this index of [`PREINTERNED`].
+    fn default_tag_id(self) -> usize {
+        use WidgetKind::*;
         match self {
-            WidgetKind::Root => "body",
-            WidgetKind::Section | WidgetKind::Row => "div",
-            WidgetKind::Form => "form",
-            WidgetKind::Heading => "h2",
-            WidgetKind::Text => "p",
-            WidgetKind::Button => "button",
-            WidgetKind::Link => "a",
-            WidgetKind::TextInput | WidgetKind::PasswordInput => "input",
-            WidgetKind::TextArea => "textarea",
-            WidgetKind::Checkbox | WidgetKind::Radio => "input",
-            WidgetKind::Select => "select",
-            WidgetKind::TableRow => "tr",
-            WidgetKind::TableCell => "td",
-            WidgetKind::MenuItem => "li",
-            WidgetKind::Tab => "a",
-            WidgetKind::Icon => "svg",
-            WidgetKind::Image => "img",
-            WidgetKind::Modal => "dialog",
-            WidgetKind::Toast => "div",
-            WidgetKind::Badge => "span",
-            WidgetKind::Divider => "hr",
+            Root => 1,                                         // body
+            Section | Row | Toast => 2,                        // div
+            Form => 3,                                         // form
+            Heading => 4,                                      // h2
+            Text => 5,                                         // p
+            Button => 6,                                       // button
+            Link | Tab => 7,                                   // a
+            TextInput | PasswordInput | Checkbox | Radio => 8, // input
+            TextArea => 9,                                     // textarea
+            Select => 10,                                      // select
+            TableRow => 11,                                    // tr
+            TableCell => 12,                                   // td
+            MenuItem => 13,                                    // li
+            Icon => 14,                                        // svg
+            Image => 15,                                       // img
+            Modal => 16,                                       // dialog
+            Badge => 17,                                       // span
+            Divider => 18,                                     // hr
         }
     }
 }
@@ -198,11 +202,13 @@ pub struct Widget {
 impl Widget {
     /// A bare widget of `kind` with defaults everywhere else. The page
     /// builder assigns the real id.
+    ///
+    /// Interns nothing: the default tag's handle is a constant.
     pub fn new(kind: WidgetKind) -> Self {
         Self {
             id: WidgetId(u32::MAX),
             kind,
-            tag: Sym::from(kind.default_tag()),
+            tag: Sym::preinterned(kind.default_tag_id()),
             label: Sym::EMPTY,
             name: Sym::EMPTY,
             value: Sym::EMPTY,

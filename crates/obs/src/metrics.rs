@@ -199,7 +199,6 @@ impl MetricsRegistry {
         self.inc("cache.frame_invalidations", c.frame_cache_invalidations);
         self.inc("cache.relayouts_avoided", c.relayouts_avoided);
         self.inc("cache.relayouts_full", c.relayouts_full);
-        self.inc("cache.layout_cache_hits", c.layout_cache_hits);
         self.inc("gui.intern_hits", c.intern_hits);
         self.inc("gui.intern_misses", c.intern_misses);
         // Table size is a high-water gauge, not a counter: merged

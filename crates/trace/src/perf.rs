@@ -34,13 +34,14 @@ pub struct PerfCounters {
     /// `Session::rebuild` calls that skipped page reconstruction because
     /// the app's fresh build was structurally identical.
     pub relayouts_avoided: u64,
-    /// Full layout walks the GUI layout engine actually ran (a cache miss
-    /// or a cache-disabled pass over the whole tree). Counted at the
-    /// engine, not the session, so a skipped walk can never masquerade as
-    /// a saved one.
+    /// Layout walks the GUI layout engine ran; every layout is a full
+    /// walk. Counted at the engine, not the session, so a skipped walk
+    /// can never masquerade as a saved one.
     pub relayouts_full: u64,
-    /// Full layout walks answered from the global layout cache (bounds
-    /// replayed from an identical earlier walk; no tree traversal ran).
+    /// Always 0: layouts are never replayed from a cache. Kept only
+    /// because the end-to-end benchmark still reports it as
+    /// `gui.layout_cache_hits`; it goes when the benchmark drops that
+    /// metric.
     pub layout_cache_hits: u64,
     /// String-interner lookups that found an existing entry.
     pub intern_hits: u64,
