@@ -1,17 +1,69 @@
 //! Run every experiment and print a combined paper-vs-measured summary —
-//! the artifact EXPERIMENTS.md records.
+//! the artifact EXPERIMENTS.md records. `--scorecard-out` writes the
+//! same cells, shape verdicts and sweep wins as `BENCH_paper.json`.
 
 use std::process::ExitCode;
 
 use eclair_bench::*;
 use eclair_core::experiments::{case_study, fig2, table1, table2, table3, table4};
+use eclair_metrics::PaperComparison;
 use eclair_workflow::category::figure2_examples;
+use serde::Serialize;
+
+/// The scorecard: every paper-vs-measured cell, every shape verdict and
+/// the end-to-end sweep's wins.
+#[derive(Debug, Serialize)]
+struct Scorecard {
+    cells_in_band: usize,
+    cells_total: usize,
+    cells: Vec<Cell>,
+    shapes: Vec<Shape>,
+    sweep_tasks: usize,
+    sweep_wins: usize,
+}
+
+/// One paper-vs-measured cell.
+#[derive(Debug, Serialize)]
+struct Cell {
+    /// The comparison's title.
+    table: String,
+    cell: String,
+    paper: f64,
+    measured: f64,
+    /// Absolute tolerance around `paper`.
+    band: f64,
+    in_band: bool,
+}
+
+/// One shape check's verdict.
+#[derive(Debug, Serialize)]
+struct Shape {
+    name: String,
+    holds: bool,
+    /// Why it failed; `None` when it holds.
+    failure: Option<String>,
+}
+
+fn cells(comparisons: &[PaperComparison]) -> Vec<Cell> {
+    comparisons
+        .iter()
+        .flat_map(|c| {
+            c.rows.iter().map(|r| Cell {
+                table: c.title.clone(),
+                cell: r.name.clone(),
+                paper: r.paper,
+                measured: r.measured,
+                band: r.tolerance,
+                in_band: r.within_band(),
+            })
+        })
+        .collect()
+}
 
 fn main() -> ExitCode {
-    let args = Args::parse(&["--trace-out", "--metrics-out"]);
+    let args = Args::parse(&["--trace-out", "--metrics-out", "--scorecard-out"]);
     eclair_trace::perf::reset();
-    let mut passed = 0usize;
-    let mut total = 0usize;
+    let mut comparisons: Vec<PaperComparison> = Vec::new();
     let mut shapes: Vec<(String, Result<(), String>)> = Vec::new();
     let mut rollup = eclair_trace::RunSummary::default();
 
@@ -21,8 +73,7 @@ fn main() -> ExitCode {
     let c = t1.paper_comparison();
     println!("{}", c.render());
     println!("trace rollup:\n{}", render_trace_rollup(&t1.trace));
-    passed += c.passed();
-    total += c.rows.len();
+    comparisons.push(c);
     shapes.push(("Table 1".into(), t1.shape_holds()));
     rollup.merge(&t1.trace);
 
@@ -32,8 +83,7 @@ fn main() -> ExitCode {
     let c = t2.paper_comparison();
     println!("{}", c.render());
     println!("trace rollup:\n{}", render_trace_rollup(&t2.trace));
-    passed += c.passed();
-    total += c.rows.len();
+    comparisons.push(c);
     shapes.push(("Table 2".into(), t2.shape_holds()));
     rollup.merge(&t2.trace);
 
@@ -43,8 +93,7 @@ fn main() -> ExitCode {
     let c = t3.paper_comparison();
     println!("{}", c.render());
     println!("trace rollup:\n{}", render_trace_rollup(&t3.trace));
-    passed += c.passed();
-    total += c.rows.len();
+    comparisons.push(c);
     shapes.push(("Table 3".into(), t3.shape_holds()));
     rollup.merge(&t3.trace);
 
@@ -54,8 +103,7 @@ fn main() -> ExitCode {
     let c = t4.paper_comparison();
     println!("{}", c.render());
     println!("trace rollup:\n{}", render_trace_rollup(&t4.trace));
-    passed += c.passed();
-    total += c.rows.len();
+    comparisons.push(c);
     shapes.push(("Table 4".into(), t4.shape_holds()));
     rollup.merge(&t4.trace);
 
@@ -92,6 +140,28 @@ fn main() -> ExitCode {
     rollup.merge(&sweep.summary);
     args.write_with("--trace-out", || sweep.jsonl);
     args.write_metrics(&summary_snapshot(&rollup));
+
+    let cells = cells(&comparisons);
+    let passed = cells.iter().filter(|c| c.in_band).count();
+    let total = cells.len();
+    args.write_with("--scorecard-out", || {
+        let card = Scorecard {
+            cells_in_band: passed,
+            cells_total: total,
+            cells,
+            shapes: shapes
+                .iter()
+                .map(|(name, r)| Shape {
+                    name: name.clone(),
+                    holds: r.is_ok(),
+                    failure: r.clone().err(),
+                })
+                .collect(),
+            sweep_tasks: sweep.total,
+            sweep_wins: sweep.wins,
+        };
+        serde_json::to_string(&card).expect("scorecard serializes")
+    });
 
     println!("\n=== Summary ===");
     println!("paper-vs-measured cells within band: {passed}/{total}");

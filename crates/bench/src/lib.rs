@@ -13,7 +13,7 @@
 //! | `table4` | Table 4 — self-validation (Validate) |
 //! | `fig2`   | Figure 2 — workflow-automatability taxonomy |
 //! | `case_study` | Section 3 — RPA deployment dynamics vs ECLAIR |
-//! | `repro_all` | everything above, with a paper-vs-measured summary |
+//! | `repro_all` | everything above, with a paper-vs-measured summary; `--scorecard-out` → `BENCH_paper.json` |
 //! | `ablations` | grounding, detector, ensemble and self-consistency ablations |
 //! | `chaos_bench` | fault-rate × profile completion/recovery curves → `BENCH_chaos.json` |
 //! | `crucible_bench` | 64-scenario simulation sweep under the oracle registry → `BENCH_crucible.json` |
