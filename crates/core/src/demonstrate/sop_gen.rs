@@ -17,9 +17,10 @@
 //!   dropout and ambiguous coordinate-only entries.
 
 use eclair_fm::percept::{PerceivedElement, ScenePercept};
+use eclair_fm::text::{with_prepared, Lowered};
 use eclair_fm::FmModel;
 use eclair_gui::{Key, Rect, UserEvent, VisualClass};
-use eclair_vision::diff::diff;
+use eclair_vision::diff::diff_grids;
 use eclair_vision::frame::Recording;
 use eclair_vision::keyframes::{extract_key_frames, KeyFrameConfig};
 use eclair_workflow::Sop;
@@ -82,6 +83,9 @@ fn steps_from_key_frames(model: &mut FmModel, rec: &Recording) -> Vec<String> {
     // first-seen text again has *reverted* (the form reset when a submit
     // landed), not been set. Cleared on navigation: a new page, new form.
     let mut pristine: Vec<(Rect, String)> = Vec::new();
+    // The grid signature of the last key frame diffed, by frame index: the
+    // next transition starts from that frame.
+    let mut last_grid: Option<(usize, Vec<u64>)> = None;
     for pair in kfs.windows(2) {
         let a = &rec.frames[pair[0].frame_index].shot;
         let b = &rec.frames[pair[1].frame_index].shot;
@@ -99,7 +103,13 @@ fn steps_from_key_frames(model: &mut FmModel, rec: &Recording) -> Vec<String> {
                 pristine.push((el.rect, el.text.clone()));
             }
         }
-        let d = diff(a, b);
+        let ga = match last_grid.take() {
+            Some((i, g)) if i == pair[0].frame_index => g,
+            _ => a.grid_signature(),
+        };
+        let gb = b.grid_signature();
+        let d = diff_grids(a, &ga, b, &gb);
+        last_grid = Some((pair[1].frame_index, gb));
         if d.is_identical() {
             continue;
         }
@@ -190,34 +200,43 @@ fn infer_navigation(
         .filter(|e| !pa.elements.iter().any(|o| o.text == e.text))
         .map(|e| e.text.as_str())
         .collect();
-    let mut best: Option<(&PerceivedElement, f64)> = None;
-    for c in &candidates {
-        let s = eclair_fm::text::fuzzy_similarity(&c.text, &heading)
-            .max(eclair_fm::text::fuzzy_similarity(&c.text, &url_tail))
-            .max(
-                new_texts
-                    .iter()
-                    .map(|t| {
+    // Every text is prepared once, not once per candidate.
+    let texts = [heading.as_str(), url_tail.as_str()]
+        .into_iter()
+        .chain(new_texts.iter().copied())
+        .chain(candidates.iter().map(|c| c.text.as_str()));
+    let best = with_prepared(texts, |p| {
+        let [h, u, rest @ ..] = p else {
+            unreachable!("the heading and the URL tail are prepared first")
+        };
+        let (news, cands) = rest.split_at(new_texts.len());
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in cands.iter().enumerate() {
+            let s = c
+                .fuzzy(h)
+                .max(c.fuzzy(u))
+                .max(
+                    news.iter()
                         // Stemmed overlap lets a past-tense confirmation
                         // name its trigger ("Issue created" ← "Create
                         // issue") despite the inflection.
-                        eclair_fm::text::fuzzy_similarity(&c.text, t)
-                            .max(eclair_fm::text::stem_overlap(&c.text, t))
-                    })
-                    .fold(0.0f64, f64::max)
-                    * 0.9,
-            )
-            .max(if nav_semantically_related(&c.text, &heading) {
-                0.5
-            } else {
-                0.0
-            });
-        if best.map(|(_, bs)| s > bs).unwrap_or(true) {
-            best = Some((c, s));
+                        .map(|t| c.fuzzy(t).max(c.stem_overlap(t)))
+                        .fold(0.0f64, f64::max)
+                        * 0.9,
+                )
+                .max(if nav_semantically_related(c, h) {
+                    0.5
+                } else {
+                    0.0
+                });
+            if best.map(|(_, bs)| s > bs).unwrap_or(true) {
+                best = Some((i, s));
+            }
         }
-    }
+        best
+    });
     match best {
-        Some((el, score)) if score >= 0.45 => format!("Click the '{}' link", el.text),
+        Some((i, score)) if score >= 0.45 => format!("Click the '{}' link", candidates[i].text),
         _ => {
             // Ambiguous: sometimes the model guesses an element (and is
             // usually wrong), sometimes it writes a navigation step that
@@ -248,13 +267,11 @@ const NAV_LEXICON: &[(&str, &str)] = &[
     ("profile", "user"),
 ];
 
-fn nav_semantically_related(label: &str, heading: &str) -> bool {
-    let l = eclair_fm::text::tokens(label);
-    let h = eclair_fm::text::tokens(heading);
-    NAV_LEXICON.iter().any(|(a, b)| {
-        (l.iter().any(|t| t == a) && h.iter().any(|t| t == b))
-            || (l.iter().any(|t| t == b) && h.iter().any(|t| t == a))
-    })
+fn nav_semantically_related(label: &Lowered, heading: &Lowered) -> bool {
+    let has = |text: &Lowered, word: &str| text.tokens().any(|t| t == word);
+    NAV_LEXICON
+        .iter()
+        .any(|(a, b)| (has(label, a) && has(heading, b)) || (has(label, b) && has(heading, a)))
 }
 
 /// Two rects that denote the same widget across frames (location match
@@ -410,67 +427,81 @@ fn infer_same_page_click(
     } else {
         None
     };
-    let new_texts: Vec<&str> = pb
+    // Texts that may be new. An exact copy of an old text is not: for a
+    // non-empty `x`, `fuzzy_similarity(x, x) = 1.0`, above the 0.85 below.
+    let maybe_new: Vec<&str> = pb
         .elements
         .iter()
         .filter(|e| !e.text.is_empty() && e.visual != eclair_gui::VisualClass::IconGlyph)
-        .filter(|e| {
-            // "New" means no close match existed before — exact equality
-            // would count every OCR re-read as fresh content.
-            !pa.elements
-                .iter()
-                .any(|o| eclair_fm::text::fuzzy_similarity(&o.text, &e.text) > 0.85)
-        })
         .filter(|e| {
             opened_modal_panel
                 .map(|panel| panel.inflate(24).intersects(&e.rect))
                 .unwrap_or(true)
         })
+        .filter(|e| !pa.elements.iter().any(|o| o.text == e.text))
         .map(|e| e.text.as_str())
         .collect();
-    let mut best = 0usize;
-    let mut best_score = -1.0f64;
-    for (i, cand) in pick_from.iter().enumerate() {
-        let from_effects = new_texts
+    // Every text is prepared once, not once per pair.
+    let texts = pa
+        .elements
+        .iter()
+        .map(|o| o.text.as_str())
+        .chain(maybe_new.iter().copied())
+        .chain(pick_from.iter().map(|c| c.text.as_str()))
+        .chain([wd]);
+    let (best, best_score) = with_prepared(texts, |p| {
+        let (olds, rest) = p.split_at(pa.elements.len());
+        let (maybe_new, rest) = rest.split_at(maybe_new.len());
+        let (cands, wd) = rest.split_at(pick_from.len());
+        // "New" means no close match existed before — exact equality
+        // would count every OCR re-read as fresh content.
+        let new_texts: Vec<&Lowered> = maybe_new
             .iter()
-            .map(|t| {
-                eclair_fm::text::fuzzy_similarity(&cand.text, t)
-                    .max(eclair_fm::text::stem_overlap(&cand.text, t))
-            })
-            .fold(0.0f64, f64::max);
-        // The workflow description also hints at what was clicked
-        // ("Invite jill.woo..." names the Invite button).
-        let from_wd = 0.8 * eclair_fm::text::stem_overlap(&cand.text, wd);
-        let proximity = if near_change(&cand.rect) { 0.15 } else { 0.0 };
-        // A button that vanished in the after-frame very likely was the
-        // one clicked ("Close issue" → "Reopen issue" swaps).
-        let gone_bonus = if is_gone(cand) { 0.3 } else { 0.0 };
-        // When a dialog was just dismissed and the workflow advanced, the
-        // affirmative button is the overwhelmingly likely click.
-        let affirm_bonus = if closed_modal_panel.is_some()
-            && [
-                "ok", "yes", "confirm", "continue", "apply", "archive", "save", "submit",
-            ]
-            .iter()
-            .any(|a| cand.text.to_lowercase().starts_with(a))
-        {
-            0.25
-        } else {
-            0.0
-        };
-        // Same-page changes are caused by activating buttons; bare text
-        // links navigate. Damp link candidates so a toast echoing a nav
-        // label ("Settings saved") cannot outvote the real submit button.
-        let mut text_match = from_effects.max(from_wd);
-        if cand.visual == eclair_gui::VisualClass::TextLink {
-            text_match *= 0.6;
+            .filter(|e| !olds.iter().any(|o| o.fuzzy(e) > 0.85))
+            .collect();
+        let mut best = 0usize;
+        let mut best_score = -1.0f64;
+        for (i, (cand, c)) in pick_from.iter().zip(cands).enumerate() {
+            let from_effects = new_texts
+                .iter()
+                .map(|t| c.fuzzy(t).max(c.stem_overlap(t)))
+                .fold(0.0f64, f64::max);
+            // The workflow description also hints at what was clicked
+            // ("Invite jill.woo..." names the Invite button).
+            let from_wd = 0.8 * c.stem_overlap(&wd[0]);
+            let proximity = if near_change(&cand.rect) { 0.15 } else { 0.0 };
+            // A button that vanished in the after-frame very likely was the
+            // one clicked ("Close issue" → "Reopen issue" swaps).
+            let gone_bonus = if is_gone(cand) { 0.3 } else { 0.0 };
+            // When a dialog was just dismissed and the workflow advanced,
+            // the affirmative button is the overwhelmingly likely click.
+            let affirm_bonus = if closed_modal_panel.is_some()
+                && [
+                    "ok", "yes", "confirm", "continue", "apply", "archive", "save", "submit",
+                ]
+                .iter()
+                .any(|a| c.text().starts_with(a))
+            {
+                0.25
+            } else {
+                0.0
+            };
+            // Same-page changes are caused by activating buttons; bare text
+            // links navigate. Damp link candidates so a toast echoing a nav
+            // label ("Settings saved") cannot outvote the real submit
+            // button.
+            let mut text_match = from_effects.max(from_wd);
+            if cand.visual == eclair_gui::VisualClass::TextLink {
+                text_match *= 0.6;
+            }
+            let s = text_match + proximity + gone_bonus + affirm_bonus;
+            if s > best_score {
+                best_score = s;
+                best = i;
+            }
         }
-        let s = text_match + proximity + gone_bonus + affirm_bonus;
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
+        (best, best_score)
+    });
     let idx = if pick_from.len() > 1
         && best_score < 0.3
         && model.rng().gen_bool(calibration::KF_MISATTRIBUTION_P)

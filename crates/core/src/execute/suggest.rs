@@ -8,6 +8,7 @@
 
 use eclair_fm::FmModel;
 use eclair_gui::Screenshot;
+use eclair_workflow::matcher::with_steps;
 use eclair_workflow::Sop;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -88,7 +89,14 @@ fn follow_sop(model: &mut FmModel, sop: &Sop, state: &mut SuggestState) -> Sugge
         let mut slip_p = model.profile().tracking_noise;
         if state.pos + 1 < sop.len() {
             let next = &sop.steps[state.pos + 1];
-            if eclair_workflow::matcher::step_similarity(&step.text, &next.text) > 0.4 {
+            // Step `i` takes slot `i % 2`, so moving on to the next step
+            // finds it already prepared: each step is prepared once.
+            let k = state.pos % 2;
+            let texts = [&step.text, &next.text];
+            let similar = with_steps([texts[k].as_str(), texts[1 - k].as_str()], |s| {
+                s[k].similarity(&s[1 - k]) > 0.4
+            });
+            if similar {
                 slip_p *= 2.0;
             }
         }

@@ -8,7 +8,7 @@
 //! lack these.
 
 use eclair_fm::sampling::Judgment;
-use eclair_fm::text::{fuzzy_similarity, tokens};
+use eclair_fm::text::{fuzzy_similarity, with_prepared};
 use eclair_fm::FmModel;
 use eclair_gui::VisualClass;
 use eclair_vision::frame::Recording;
@@ -96,11 +96,11 @@ fn completion_judgment(model: &mut FmModel, rec: &Recording, wd: &str) -> Judgme
 
     // 5. Task keywords echoed on the final screen (weaker signal than
     //    quotes, still useful for tasks with no quoted entity).
-    let wd_tokens = tokens(wd);
-    let hits = wd_tokens
-        .iter()
-        .filter(|t| t.len() > 3 && final_text.contains(t.as_str()))
-        .count();
+    let hits = with_prepared([wd], |p| {
+        p[0].tokens()
+            .filter(|t| t.len() > 3 && final_text.contains(t))
+            .count()
+    });
     evidence += 0.15 * (hits.min(3) as f64) / 3.0;
 
     model.judge(evidence.clamp(-1.0, 1.0))

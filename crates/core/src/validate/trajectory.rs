@@ -7,55 +7,75 @@
 //! alignment against the SOP with the semantic step matcher. Shuffled
 //! traces break the ordering; deleted frames leave SOP steps uncovered.
 
+use std::cell::RefCell;
+
 use eclair_fm::sampling::Judgment;
 use eclair_fm::FmModel;
 use eclair_vision::frame::Recording;
-use eclair_workflow::matcher::step_similarity;
+use eclair_workflow::matcher::{with_steps, PreparedStep, VerbClass};
 use eclair_workflow::Sop;
 
 use crate::calibration;
 use crate::demonstrate::sop_gen::steps_from_action_log;
 
+thread_local! {
+    /// The alignment's DP row, reused from call to call.
+    static ROW: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Longest in-order alignment between observed steps and SOP steps, as a
-/// fraction of the longer sequence (1.0 = perfect correspondence).
+/// fraction of the longer sequence (1.0 = perfect correspondence). Each
+/// step is prepared once, and a warm call allocates nothing.
 pub fn alignment_score(observed: &[String], sop: &Sop) -> f64 {
     if observed.is_empty() || sop.is_empty() {
         return 0.0;
     }
-    // LCS over a semantic-match relation.
+    // LCS over a semantic-match relation, one DP row at a time.
     let n = observed.len();
     let m = sop.len();
-    let mut dp = vec![vec![0usize; m + 1]; n + 1];
-    for i in 1..=n {
-        for j in 1..=m {
-            let matched = steps_compatible(&observed[i - 1], &sop.steps[j - 1].text);
-            dp[i][j] = if matched {
-                dp[i - 1][j - 1] + 1
-            } else {
-                dp[i - 1][j].max(dp[i][j - 1])
-            };
-        }
-    }
-    dp[n][m] as f64 / n.max(m) as f64
+    let sop_texts = sop.steps.iter().map(|s| s.text.as_str());
+    let texts = observed.iter().map(String::as_str).chain(sop_texts);
+    let lcs = with_steps(texts, |steps| {
+        let (obs, refs) = steps.split_at(n);
+        ROW.with(|row| {
+            let row = &mut *row.borrow_mut();
+            row.clear();
+            row.resize(m + 1, 0);
+            for (i, a) in obs.iter().enumerate() {
+                // `diag` is the previous row's entry left of `row[j + 1]`.
+                let mut diag = 0;
+                for (j, b) in refs.iter().enumerate() {
+                    let above = row[j + 1];
+                    row[j + 1] = if steps_compatible(&observed[i], a, &sop.steps[j].text, b) {
+                        diag + 1
+                    } else {
+                        above.max(row[j])
+                    };
+                    diag = above;
+                }
+            }
+            row[m]
+        })
+    });
+    lcs as f64 / n.max(m) as f64
 }
 
-/// Semantic step match, relaxed for coordinate-only steps: an SOP step
-/// like "Click at (40, 173)" carries no verifiable target, so any observed
-/// click of the same kind is compatible with it (and vice versa).
-fn steps_compatible(a: &str, b: &str) -> bool {
+/// Semantic step match of `a` and `b`, prepared as `pa` and `pb`, relaxed
+/// for coordinate-only steps: an SOP step like "Click at (40, 173)"
+/// carries no verifiable target, so any observed click of the same kind is
+/// compatible with it (and vice versa).
+fn steps_compatible(a: &str, pa: &PreparedStep, b: &str, pb: &PreparedStep) -> bool {
     // Trajectory auditing is lenient about phrasing (a transcribed step
     // drops the annotator's qualifiers) and strict about order/coverage,
     // so the per-pair threshold sits below the SOP-scoring one.
-    if step_similarity(a, b) >= 0.6 {
+    if pa.similarity(pb) >= 0.6 {
         return true;
     }
     let coordish = |s: &str| s.contains(" at (") || s.contains("@ (");
     if coordish(a) || coordish(b) {
-        use eclair_workflow::matcher::verb_class;
-        let (va, vb) = (verb_class(a), verb_class(b));
+        let (va, vb) = (pa.verb(), pb.verb());
         // Type-ish classes interchange when coordinates hide the target.
-        use eclair_workflow::matcher::VerbClass as V;
-        let typeish = |v: V| matches!(v, V::Type | V::Select);
+        let typeish = |v: VerbClass| matches!(v, VerbClass::Type | VerbClass::Select);
         return va == vb || (typeish(va) && typeish(vb));
     }
     false

@@ -212,7 +212,7 @@ pub fn score_marks(description: &str, marks: &[Mark]) -> Vec<(u32, f64)> {
                     let subword =
                         s.b.tokens()
                             .any(|q| q.len() >= 4 && s.a.tokens().any(|t| t.contains(q)));
-                    let base = s.fuzzy().max(s.stem_overlap() * 0.9);
+                    let base = s.a.fuzzy(&s.b).max(s.a.stem_overlap(&s.b) * 0.9);
                     if all_present {
                         base.max(0.75)
                     } else if subword {

@@ -283,7 +283,13 @@ mod tests {
             super::edit_distance(a, b),
             "edit_distance({a:?}, {b:?})"
         );
-        assert_eq!(text::tokens(a), super::tokens(a), "tokens({a:?})");
+        text::with_prepared([a], |p| {
+            assert!(
+                p[0].tokens()
+                    .eq(super::tokens(a).iter().map(String::as_str)),
+                "tokens({a:?})"
+            )
+        });
         let contains_all = |hay: &str, needle: &str| {
             let hay = super::tokens(hay);
             super::tokens(needle).iter().all(|t| hay.contains(t))

@@ -7,25 +7,32 @@
 //! label, an icon with no label at all) survive any amount of lexical
 //! cleverness.
 //!
-//! Every similarity here is one kernel over per-thread scratch: an input
-//! is lowercased once into a reusable buffer (in place for ASCII, through
-//! `str::to_lowercase` otherwise), its tokens and stems are byte spans of
-//! that buffer, and a slot handed the input it already holds keeps it. The
-//! edit distance is Myers' bit-parallel algorithm when the shorter input
-//! has at most 64 chars, and a reused DP row otherwise. A warm call on
-//! ASCII inputs allocates nothing, nor does a repeated call on any inputs,
-//! and every score is bit-identical to the plain `Vec<String>` formulation
-//! the tests keep as their oracle (DESIGN.md §18).
+//! Every similarity here is one kernel over prepared inputs. A
+//! [`Lowered`] holds one input lowercased once (in place for ASCII,
+//! through `str::to_lowercase` otherwise), with its tokens and stems as
+//! byte spans of that buffer, and keeps it when handed the input it
+//! already holds. [`Lowered::fuzzy`], [`Lowered::overlap`] and
+//! [`Lowered::stem_overlap`] compare two prepared inputs. The `&str`
+//! functions are thin wrappers that prepare both sides into a per-thread
+//! pair, and [`with_prepared`] prepares a whole list into reusable
+//! per-thread slots, so a caller comparing many candidates with many texts
+//! prepares each once. The edit distance is Myers' bit-parallel algorithm
+//! when the shorter input has at most 64 chars, and a reused DP row
+//! otherwise. A warm call on ASCII inputs allocates nothing, nor does a
+//! repeated call on any inputs, and every score is bit-identical to the
+//! plain `Vec<String>` formulation the tests keep as their oracle
+//! (DESIGN.md §18, §22).
 
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 /// Byte range `start..end` of a token or stem in a [`Lowered`] buffer.
-type Span = (usize, usize);
+pub type Span = (usize, usize);
 
-/// One input, lowercased once, with its tokens and their stems as spans
-/// of the lowercased text.
+/// One input prepared for comparison: lowercased once, with its tokens
+/// and their stems as spans of the lowercased text.
 #[derive(Default)]
-pub(crate) struct Lowered {
+pub struct Lowered {
     /// The input as last loaded, before lowercasing. The default state is
     /// exactly what loading `""` leaves.
     raw: String,
@@ -41,11 +48,12 @@ pub(crate) struct Lowered {
 impl Lowered {
     /// Lowercase `s` into this buffer and split it into tokens: the
     /// maximal runs of alphanumeric chars of the lowercased text. Loading
-    /// the input already held does nothing: the state is a function of
-    /// the input, and the whole input is compared, not a hash of it.
-    pub(crate) fn load(&mut self, s: &str) {
+    /// the input already held does nothing and returns `false`: the state
+    /// is a function of the input, and the whole input is compared, not a
+    /// hash of it.
+    pub fn load(&mut self, s: &str) -> bool {
         if self.raw == s {
-            return;
+            return false;
         }
         self.raw.clear();
         self.raw.push_str(s);
@@ -88,16 +96,46 @@ impl Lowered {
         if let Some(s0) = start {
             push(s0, text.len());
         }
+        true
     }
 
     /// The lowercased text.
-    pub(crate) fn text(&self) -> &str {
+    pub fn text(&self) -> &str {
         &self.text
     }
 
     /// The tokens, in order.
-    pub(crate) fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
+    pub fn tokens(&self) -> impl Iterator<Item = &str> + '_ {
         self.tokens.iter().map(|&(s, e)| &self.text[s..e])
+    }
+
+    /// The tokens as spans of [`Lowered::text`], in order.
+    pub fn token_spans(&self) -> &[Span] {
+        &self.tokens
+    }
+
+    /// [`overlap`] of two prepared inputs.
+    pub fn overlap(&self, other: &Lowered) -> f64 {
+        with_work(|w| dice(&self.text, &self.tokens, &other.text, &other.tokens, w))
+    }
+
+    /// [`stem_overlap`] of two prepared inputs.
+    pub fn stem_overlap(&self, other: &Lowered) -> f64 {
+        with_work(|w| dice(&self.text, &self.stems, &other.text, &other.stems, w))
+    }
+
+    /// [`fuzzy_similarity`] of two prepared inputs.
+    pub fn fuzzy(&self, other: &Lowered) -> f64 {
+        with_work(|w| {
+            let o = dice(&self.text, &self.tokens, &other.text, &other.tokens, w);
+            let max_len = self.chars.max(other.chars);
+            if max_len == 0 {
+                return 1.0;
+            }
+            let d = w.edit_distance(&self.text, &other.text);
+            let e = 1.0 - d as f64 / max_len as f64;
+            o.max(e)
+        })
     }
 }
 
@@ -200,85 +238,93 @@ impl Work {
     }
 }
 
-/// A thread's kernel state: two loaded inputs and the buffers comparing
-/// them.
+/// The inputs of the `&str` functions: two prepared inputs per thread.
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) a: Lowered,
     pub(crate) b: Lowered,
-    work: Work,
 }
 
-impl Scratch {
-    /// [`overlap`] of the loaded inputs.
-    fn overlap(&mut self) -> f64 {
-        let (a, b) = (&self.a, &self.b);
-        dice(
-            &a.text,
-            &a.tokens,
-            &b.text,
-            &b.tokens,
-            &mut self.work.remaining,
-        )
-    }
-
-    /// [`stem_overlap`] of the loaded inputs.
-    pub(crate) fn stem_overlap(&mut self) -> f64 {
-        let (a, b) = (&self.a, &self.b);
-        dice(
-            &a.text,
-            &a.stems,
-            &b.text,
-            &b.stems,
-            &mut self.work.remaining,
-        )
-    }
-
-    /// [`fuzzy_similarity`] of the loaded inputs.
-    pub(crate) fn fuzzy(&mut self) -> f64 {
-        let o = self.overlap();
-        let max_len = self.a.chars.max(self.b.chars);
-        if max_len == 0 {
-            return 1.0;
-        }
-        let d = self.work.edit_distance(&self.a.text, &self.b.text);
-        let e = 1.0 - d as f64 / max_len as f64;
-        o.max(e)
-    }
-}
+/// Spare vectors of prepared values, kept per thread with every value's
+/// buffers: the storage [`with_slots`] prepares into.
+pub type Slots<T> = RefCell<Vec<Vec<T>>>;
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static WORK: RefCell<Work> = RefCell::new(Work::default());
+    static PREPARED: Slots<Lowered> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` on this thread's kernel state.
+/// Run `f` on this thread's pair of inputs.
 pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Load `a` and `b`, then run `f` on them.
-fn with_pair<T>(a: &str, b: &str, f: impl FnOnce(&mut Scratch) -> T) -> T {
+/// Run `f` on this thread's comparison buffers.
+fn with_work<T>(f: impl FnOnce(&mut Work) -> T) -> T {
+    WORK.with(|w| f(&mut w.borrow_mut()))
+}
+
+/// Load `a` and `b` into this thread's pair, then run `f` on them.
+fn with_pair<T>(a: &str, b: &str, f: impl FnOnce(&Lowered, &Lowered) -> T) -> T {
     with_scratch(|s| {
         s.a.load(a);
         s.b.load(b);
-        f(s)
+        f(&s.a, &s.b)
     })
 }
 
-/// Lowercase alphanumeric tokens.
-pub fn tokens(text: &str) -> Vec<String> {
-    with_scratch(|s| {
-        s.a.load(text);
-        s.a.tokens().map(str::to_string).collect()
-    })
+/// Prepare each of `inputs` with `load` into a spare vector of `slots`
+/// (a new one when this thread has none spare), run `f` on the prepared
+/// values in input order, and keep the vector, with its values and their
+/// buffers, for the next call. Slot `i` keeps what it held on the last
+/// call, so a warm call allocates nothing and `load` can skip an input
+/// its slot already holds. Calls nest: an inner call takes another
+/// vector.
+pub fn with_slots<'a, T: Default, R>(
+    slots: &'static LocalKey<Slots<T>>,
+    inputs: impl IntoIterator<Item = &'a str>,
+    mut load: impl FnMut(&mut T, &str),
+    f: impl FnOnce(&[T]) -> R,
+) -> R {
+    let mut values = slots.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+    let mut n = 0;
+    for input in inputs {
+        if n == values.len() {
+            values.push(T::default());
+        }
+        load(&mut values[n], input);
+        n += 1;
+    }
+    let out = f(&values[..n]);
+    slots.with(|s| s.borrow_mut().push(values));
+    out
+}
+
+/// Prepare each of `texts` once, then run `f` on the prepared inputs, in
+/// order: the way to compare every one of many candidates with every one
+/// of many texts without preparing either side once per pair.
+pub fn with_prepared<'a, T>(
+    texts: impl IntoIterator<Item = &'a str>,
+    f: impl FnOnce(&[Lowered]) -> T,
+) -> T {
+    with_slots(
+        &PREPARED,
+        texts,
+        |l, s| {
+            l.load(s);
+        },
+        f,
+    )
 }
 
 /// Dice coefficient `2·hits / (|A| + |B|)` of two bags of spans, where
 /// `hits` is the size of their multiset intersection.
-fn dice(a: &str, sa: &[Span], b: &str, sb: &[Span], remaining: &mut Vec<Span>) -> f64 {
+fn dice(a: &str, sa: &[Span], b: &str, sb: &[Span], w: &mut Work) -> f64 {
     if sa.is_empty() || sb.is_empty() {
         return 0.0;
     }
+    let remaining = &mut w.remaining;
     remaining.clear();
     remaining.extend_from_slice(sb);
     let mut hits = 0usize;
@@ -294,7 +340,7 @@ fn dice(a: &str, sa: &[Span], b: &str, sb: &[Span], remaining: &mut Vec<Span>) -
 
 /// Dice-style overlap between token bags in [0, 1].
 pub fn overlap(a: &str, b: &str) -> f64 {
-    with_pair(a, b, Scratch::overlap)
+    with_pair(a, b, Lowered::overlap)
 }
 
 /// Byte length of `token`'s stem, a crude suffix strip ("saved", "saving"
@@ -315,13 +361,13 @@ fn stem_len(token: &str) -> usize {
 
 /// Dice overlap over stemmed tokens ("You saved the product" ↔ "Save").
 pub fn stem_overlap(a: &str, b: &str) -> f64 {
-    with_pair(a, b, Scratch::stem_overlap)
+    with_pair(a, b, Lowered::stem_overlap)
 }
 
 /// Whether `needle`'s tokens all appear in `hay`.
 pub fn contains_all(hay: &str, needle: &str) -> bool {
-    with_pair(hay, needle, |s| {
-        s.b.tokens().all(|t| s.a.tokens().any(|h| h == t))
+    with_pair(hay, needle, |hay, needle| {
+        needle.tokens().all(|t| hay.tokens().any(|h| h == t))
     })
 }
 
@@ -348,13 +394,13 @@ fn levenshtein(a: &str, b: &str, nb: usize, row: &mut Vec<usize>) -> usize {
 
 /// Levenshtein distance (for OCR-noise-tolerant comparisons).
 pub fn edit_distance(a: &str, b: &str) -> usize {
-    with_scratch(|s| s.work.edit_distance(a, b))
+    with_work(|w| w.edit_distance(a, b))
 }
 
 /// Similarity robust to a few corrupted characters: max of token overlap
 /// and normalized edit similarity.
 pub fn fuzzy_similarity(a: &str, b: &str) -> f64 {
-    with_pair(a, b, Scratch::fuzzy)
+    with_pair(a, b, Lowered::fuzzy)
 }
 
 #[cfg(test)]

@@ -401,11 +401,14 @@ impl Screenshot {
         if self.url != other.url {
             return 1.0;
         }
-        let a = self.grid_signature();
-        let b = other.grid_signature();
-        let changed = a.iter().zip(&b).filter(|(x, y)| x != y).count();
-        changed as f64 / a.len() as f64
+        changed_fraction(&self.grid_signature(), &other.grid_signature())
     }
+}
+
+/// Fraction of cells that differ between two [`Screenshot::grid_signature`]s.
+pub fn changed_fraction(a: &[u64], b: &[u64]) -> f64 {
+    let changed = a.iter().zip(b).filter(|(x, y)| x != y).count();
+    changed as f64 / a.len() as f64
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! GitLab-sim domain state: projects, issues, merge requests, members.
 
+use std::fmt::{self, Write as _};
+
 use serde::{Deserialize, Serialize};
 
 use crate::fixtures;
@@ -41,6 +43,55 @@ pub struct MergeRequest {
     pub state: MrState,
 }
 
+/// A project name shown as its URL slug (see [`Project::slug`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Slug<'a>(&'a str);
+
+impl fmt::Display for Slug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if !self.0.is_ascii() {
+            // Whole-string lowercasing: per-char differs on a final `Σ`.
+            return f.write_str(&self.0.to_lowercase().replace(' ', "-"));
+        }
+        for (i, word) in self.0.split(' ').enumerate() {
+            if i > 0 {
+                f.write_char('-')?;
+            }
+            if word.bytes().any(|b| b.is_ascii_uppercase()) {
+                for c in word.chars() {
+                    f.write_char(c.to_ascii_lowercase())?;
+                }
+            } else {
+                f.write_str(word)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PartialEq<str> for Slug<'_> {
+    /// Compares the slug's bytes with `other` as they are written, without
+    /// building the slug (for an ASCII name).
+    fn eq(&self, other: &str) -> bool {
+        /// What is left of the expected text; writing anything else fails.
+        struct Rest<'a>(&'a str);
+        impl fmt::Write for Rest<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut rest = Rest(other);
+        write!(rest, "{self}").is_ok() && rest.0.is_empty()
+    }
+}
+
+impl PartialEq<&str> for Slug<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        *self == **other
+    }
+}
+
 /// A project with its collections.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Project {
@@ -56,9 +107,11 @@ pub struct Project {
 }
 
 impl Project {
-    /// URL slug for the project.
-    pub fn slug(&self) -> String {
-        self.name.to_lowercase().replace(' ', "-")
+    /// URL slug for the project: its name lowercased, spaces as `-`. It
+    /// is derived from the name on every use, since a project can be
+    /// renamed, and written straight into whatever formats it.
+    pub fn slug(&self) -> Slug<'_> {
+        Slug(&self.name)
     }
 
     /// Append a new issue, assigning the next id.
@@ -200,7 +253,7 @@ impl GitlabState {
 
     /// Find a project index by slug.
     pub fn project_by_slug(&self, slug: &str) -> Option<usize> {
-        self.projects.iter().position(|p| p.slug() == slug)
+        self.projects.iter().position(|p| p.slug() == *slug)
     }
 
     /// Whether a username exists in the directory.

@@ -36,19 +36,22 @@ impl ScreenDiff {
 
 /// Compare two frames.
 pub fn diff(a: &Screenshot, b: &Screenshot) -> ScreenDiff {
-    let url_changed = a.url != b.url;
-    if url_changed {
-        return ScreenDiff {
-            changed_fraction: 1.0,
-            regions: vec![Rect::new(0, 0, a.viewport.w, a.viewport.h)],
-            url_changed,
-        };
+    if a.url != b.url {
+        return url_change(a);
     }
-    let ga = a.grid_signature();
-    let gb = b.grid_signature();
+    diff_grids(a, &a.grid_signature(), b, &b.grid_signature())
+}
+
+/// [`diff`] of two frames whose grid signatures are already computed:
+/// `ga` is `a.grid_signature()` and `gb` is `b.grid_signature()`. A
+/// caller walking a sequence of frames computes each frame's grid once.
+pub fn diff_grids(a: &Screenshot, ga: &[u64], b: &Screenshot, gb: &[u64]) -> ScreenDiff {
+    if a.url != b.url {
+        return url_change(a);
+    }
     let mut changed = vec![false; ga.len()];
     let mut n_changed = 0usize;
-    for (i, (x, y)) in ga.iter().zip(&gb).enumerate() {
+    for (i, (x, y)) in ga.iter().zip(gb).enumerate() {
         if x != y {
             changed[i] = true;
             n_changed += 1;
@@ -60,7 +63,16 @@ pub fn diff(a: &Screenshot, b: &Screenshot) -> ScreenDiff {
     ScreenDiff {
         changed_fraction: n_changed as f64 / ga.len() as f64,
         regions,
-        url_changed,
+        url_changed: false,
+    }
+}
+
+/// A URL change: the whole viewport changed.
+fn url_change(a: &Screenshot) -> ScreenDiff {
+    ScreenDiff {
+        changed_fraction: 1.0,
+        regions: vec![Rect::new(0, 0, a.viewport.w, a.viewport.h)],
+        url_changed: true,
     }
 }
 

@@ -16,6 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use eclair_gui::screenshot::changed_fraction;
 use eclair_gui::UserEvent;
 
 use crate::frame::Recording;
@@ -58,7 +59,9 @@ impl Default for KeyFrameConfig {
     }
 }
 
-/// Run the heuristic over a recording.
+/// Run the heuristic over a recording. Each frame's grid signature is
+/// computed at most once: the last kept frame's grid is kept for the
+/// candidates after it.
 pub fn extract_key_frames(rec: &Recording, cfg: KeyFrameConfig) -> Vec<KeyFrame> {
     let mut kept: Vec<KeyFrame> = Vec::new();
     if rec.frames.is_empty() {
@@ -69,6 +72,19 @@ pub fn extract_key_frames(rec: &Recording, cfg: KeyFrameConfig) -> Vec<KeyFrame>
         reason: KeepReason::Initial,
     });
     let mut last_kept = 0usize;
+    // The grid of frame `last_kept`, once a candidate on its URL needed it.
+    let mut kept_grid: Option<Vec<u64>> = None;
+    // `Screenshot::diff_fraction` against the last kept frame; returns the
+    // candidate's grid when it computed one.
+    let diff_from_kept = |candidate: usize, last_kept: usize, kept_grid: &mut Option<Vec<u64>>| {
+        let (shot, kept) = (&rec.frames[candidate].shot, &rec.frames[last_kept].shot);
+        if shot.url != kept.url {
+            return (1.0, None);
+        }
+        let grid = shot.grid_signature();
+        let kept_grid = kept_grid.get_or_insert_with(|| kept.grid_signature());
+        (changed_fraction(&grid, kept_grid), Some(grid))
+    };
     for (i, entry) in rec.log.iter().enumerate() {
         let candidate = i + 1; // frame after action i
                                // A typing burst is any run of Type / Backspace events; only the
@@ -93,9 +109,7 @@ pub fn extract_key_frames(rec: &Recording, cfg: KeyFrameConfig) -> Vec<KeyFrame>
             UserEvent::Scroll(_) => None,
         };
         let Some(reason) = reason else { continue };
-        let diff = rec.frames[candidate]
-            .shot
-            .diff_fraction(&rec.frames[last_kept].shot);
+        let (diff, grid) = diff_from_kept(candidate, last_kept, &mut kept_grid);
         if diff < cfg.min_diff {
             continue; // imperfection: a real but visually-small step is lost
         }
@@ -104,13 +118,12 @@ pub fn extract_key_frames(rec: &Recording, cfg: KeyFrameConfig) -> Vec<KeyFrame>
             reason,
         });
         last_kept = candidate;
+        kept_grid = grid;
     }
     // Always keep the final state so completion is observable.
     let last = rec.frames.len() - 1;
     if kept.last().map(|k| k.frame_index) != Some(last) {
-        let diff = rec.frames[last]
-            .shot
-            .diff_fraction(&rec.frames[last_kept].shot);
+        let (diff, _) = diff_from_kept(last, last_kept, &mut kept_grid);
         if diff >= cfg.min_diff || kept.len() == 1 {
             kept.push(KeyFrame {
                 frame_index: last,

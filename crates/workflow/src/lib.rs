@@ -26,6 +26,8 @@ pub mod action;
 pub mod category;
 pub mod constraints;
 pub mod matcher;
+#[cfg(test)]
+mod reference;
 pub mod replay;
 pub mod score;
 pub mod sop;

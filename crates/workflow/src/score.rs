@@ -12,11 +12,12 @@
 //!
 //! Matching is a greedy best-first bipartite assignment on
 //! [`crate::matcher::step_similarity`], each step usable once — mirroring
-//! how an annotator ticks off steps against the reference.
+//! how an annotator ticks off steps against the reference. Each step is
+//! prepared once ([`crate::matcher::with_steps`]), not once per pair.
 
 use serde::{Deserialize, Serialize};
 
-use crate::matcher::{step_similarity, MATCH_THRESHOLD};
+use crate::matcher::{with_steps, MATCH_THRESHOLD};
 use crate::sop::Sop;
 
 /// Scoring result for one generated SOP.
@@ -48,15 +49,19 @@ impl SopScore {
 /// Greedy best-first matching of generated steps to reference steps.
 /// Returns `(gen_idx, ref_idx, similarity)` for each match made.
 pub fn match_steps(generated: &Sop, reference: &Sop) -> Vec<(usize, usize, f64)> {
+    let texts = generated.steps.iter().chain(&reference.steps);
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for (gi, g) in generated.steps.iter().enumerate() {
-        for (ri, r) in reference.steps.iter().enumerate() {
-            let sim = step_similarity(&g.text, &r.text);
-            if sim >= MATCH_THRESHOLD {
-                pairs.push((gi, ri, sim));
+    with_steps(texts.map(|s| s.text.as_str()), |steps| {
+        let (gen, refs) = steps.split_at(generated.len());
+        for (gi, g) in gen.iter().enumerate() {
+            for (ri, r) in refs.iter().enumerate() {
+                let sim = g.similarity(r);
+                if sim >= MATCH_THRESHOLD {
+                    pairs.push((gi, ri, sim));
+                }
             }
         }
-    }
+    });
     // Highest similarity first; ties broken by position for determinism.
     pairs.sort_by(|a, b| {
         b.2.partial_cmp(&a.2)
