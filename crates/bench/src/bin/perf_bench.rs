@@ -1,9 +1,9 @@
-//! GUI→FM hot-path cache bench: run the 30-task suite twice per leg —
-//! once through the fleet executor (the Execute hot path, frame-cache
-//! heavy) and once through the full agent pipeline at the WD+KF evidence
-//! level (Demonstrate → Execute → Validate, percept-cache heavy) — with
-//! the caches on, then again under `ECLAIR_NO_CACHE=1`. Proves the two
-//! legs are byte-identical (cache transparency) and emits
+//! GUI hot-path cache bench: run the 30-task suite twice per leg — once
+//! through the fleet executor (the Execute hot path, frame-cache heavy)
+//! and once through the full agent pipeline at the WD+KF evidence level
+//! (Demonstrate → Execute → Validate) — with the frame cache and the
+//! identical-rebuild skip on, then again under `ECLAIR_NO_CACHE=1`.
+//! Proves the two legs are byte-identical (cache transparency) and emits
 //! `BENCH_perf.json`.
 //!
 //! Usage:
@@ -42,12 +42,6 @@ struct LegJson {
     intern_misses: u64,
     /// High-water table size (gauge): distinct strings alive at leg end.
     intern_table_size: u64,
-    perceive_memo_hits: u64,
-    perceive_memo_misses: u64,
-    perceive_memo_rate: f64,
-    /// Tokens the percept cache served — re-accounted identically into
-    /// the meters (transparency), reported here for effectiveness only.
-    cached_tokens: u64,
     fleet_succeeded: u64,
     fleet_failed: u64,
     pipeline_wins: usize,
@@ -92,9 +86,9 @@ struct Leg {
 
 fn leg(tasks: usize, seed: u64, use_cache: bool) -> Leg {
     // The kill switch is the one knob that reaches every layer — session
-    // construction, model construction, and the per-run executor config
-    // all consult it — so the off leg runs exactly what a user setting
-    // ECLAIR_NO_CACHE=1 would run.
+    // construction and the per-run executor config both consult it — so
+    // the off leg runs exactly what a user setting ECLAIR_NO_CACHE=1
+    // would run.
     if use_cache {
         std::env::remove_var("ECLAIR_NO_CACHE");
     } else {
@@ -112,7 +106,7 @@ fn leg(tasks: usize, seed: u64, use_cache: bool) -> Leg {
     .expect("sequential fleet sweep");
     // The pipeline runs at the WD+KF evidence level, whose Demonstrate
     // phase perceives key-frame pairs (WD+KF+ACT reads the action log and
-    // never perceives), so the percept cache sees real traffic.
+    // never perceives).
     let pipeline = sweep_with(
         tasks,
         EclairConfig {
@@ -146,10 +140,6 @@ fn leg_json(l: &Leg, cache_enabled: bool) -> LegJson {
         intern_hits: c.intern_hits,
         intern_misses: c.intern_misses,
         intern_table_size: c.intern_table_size,
-        perceive_memo_hits: c.perceive_memo_hits,
-        perceive_memo_misses: c.perceive_memo_misses,
-        perceive_memo_rate: c.perceive_memo_rate(),
-        cached_tokens: c.cached_tokens,
         fleet_succeeded: l.fleet.outcome.succeeded,
         fleet_failed: l.fleet.outcome.failed,
         pipeline_wins: l.pipeline.wins,
@@ -193,26 +183,19 @@ fn main() -> ExitCode {
 
     let c = &on.counters;
     println!(
-        "cache on : {:.1} ms, frame hits {}/{} ({:.0}%), relayouts avoided {}/{}, memo hits {}/{} ({:.0}%), {} cached tokens",
+        "cache on : {:.1} ms, frame hits {}/{} ({:.0}%), relayouts avoided {}/{}",
         on.wall_ms,
         c.frame_cache_hits,
         c.frame_cache_hits + c.frame_cache_misses,
         100.0 * c.frame_cache_hit_rate(),
         c.relayouts_avoided,
         c.relayouts_avoided + c.relayouts_full,
-        c.perceive_memo_hits,
-        c.perceive_memo_hits + c.perceive_memo_misses,
-        100.0 * c.perceive_memo_rate(),
-        c.cached_tokens,
     );
     println!(
         "layout   : {} full walks, {} interned strings",
         c.relayouts_full, c.intern_table_size,
     );
-    println!(
-        "cache off: {:.1} ms (every frame rendered, every percept recomputed)",
-        off.wall_ms
-    );
+    println!("cache off: {:.1} ms (every frame rendered)", off.wall_ms);
     // Wall-clock is host-dependent, so it goes to stdout only — the JSON
     // artifact must stay byte-reproducible.
     println!(
@@ -259,12 +242,6 @@ fn main() -> ExitCode {
         failed.push(format!(
             "frame-cache hit rate {:.2} below the 0.30 floor",
             on.frame_cache_hit_rate
-        ));
-    }
-    if on.perceive_memo_rate < 0.20 {
-        failed.push(format!(
-            "perceive memo rate {:.2} below the 0.20 floor",
-            on.perceive_memo_rate
         ));
     }
     finish(failed)

@@ -1,7 +1,7 @@
 //! # eclair-bench
 //!
 //! Benchmark harnesses regenerating every table and figure in the paper's
-//! evaluation, plus Criterion micro-benchmarks over the substrates.
+//! evaluation.
 //!
 //! Binaries (run with `cargo run --release -p eclair-bench --bin <name>`):
 //!
@@ -19,7 +19,6 @@
 //! | `crucible_bench` | 64-scenario simulation sweep under the oracle registry → `BENCH_crucible.json` |
 //! | `hybrid_bench` | pure-FM vs compiled-bot crossover + drift-epoch amortization → `BENCH_hybrid.json` |
 //! | `perf_bench` | cache-on vs `ECLAIR_NO_CACHE=1` over the 30-task suite; transparency proof + hit rates → `BENCH_perf.json` |
-//! | `shared_bench` | fleet-wide shared percept cache vs per-instance baseline; cross-run hit rate + single-flight replicas → `BENCH_shared.json` |
 //! | `obs_bench` | virtual-time worker curve and span latencies over the 30-task suite, plus the 1/2/4/8-worker pool determinism proof → `BENCH_obs.json` |
 //! | `corpus_bench` | generated task corpus: sizes, self-validation, manifest digest → `BENCH_corpus.json` |
 //!

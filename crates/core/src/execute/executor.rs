@@ -25,8 +25,8 @@ pub struct ExecConfig {
     pub strategy: GroundingStrategy,
     /// Hard budget on suggested actions.
     pub max_steps: usize,
-    /// Whether the caching layer (frame cache, identical-rebuild skip,
-    /// percept cache — a fleet's included) runs underneath this execution. Combined with the
+    /// Whether the caching layer (the frame cache and the identical-rebuild
+    /// skip) runs underneath this execution. Combined with the
     /// `ECLAIR_NO_CACHE=1` kill switch; flipping either must not change a
     /// single serialized byte (the transparency invariant the crucible's
     /// `cache-transparent` oracle enforces).
@@ -131,7 +131,6 @@ pub fn drive<S: GuiSurface>(
     // differently because of it.
     let cache_on = cfg.use_cache && !eclair_gui::no_cache_env();
     session.set_cache_enabled(cache_on);
-    model.set_cache_enabled(cache_on);
     let (mut attempted, mut failures, mut recoveries) = (0usize, 0usize, 0usize);
     // The run's narration lives in the trace as Note events; the returned
     // log is rendered back from the slice this run appended.

@@ -224,12 +224,11 @@ fn faults_iff_chaos(run: &ScenarioRun) -> Verdict {
 }
 
 fn cache_transparent(run: &ScenarioRun) -> Verdict {
-    // The caches are optimizations, never observables: a percept hit
-    // re-accounts the identical tokens, and a replayed layout reproduces
-    // the page a full walk would have built. The runner re-executed the
-    // scenario with every cache, the fleet's included, toggled; any drift
-    // means a cache served stale state, cross-served a percept between
-    // streams, or leaked its existence into the record.
+    // The caches are optimizations, never observables: a cached frame is
+    // the frame a render would have painted, and a skipped rebuild keeps
+    // the page a rebuild would have built. The runner re-executed the
+    // scenario with every cache toggled; any drift means a cache served
+    // stale state or leaked its existence into the record.
     let flip = &run.cache_flip;
     if flip.outcome.to_json() != run.report.outcome.to_json() {
         return Verdict::Fail(format!(
@@ -392,8 +391,7 @@ pub fn registry() -> Vec<Oracle> {
         },
         Oracle {
             name: "cache-transparent",
-            contract:
-                "toggling every cache, the fleet's percept cache included, leaves outcome and trace byte-identical",
+            contract: "toggling every cache leaves outcome and trace byte-identical",
             check: cache_transparent,
         },
         Oracle {
@@ -509,13 +507,12 @@ mod tests {
     }
 
     #[test]
-    fn a_leaky_shared_cache_breaks_transparency() {
+    fn a_leaky_cache_breaks_transparency() {
         let mut s = Scenario::generate(17, 9);
         s.workers = 1;
         s.chaos_rate = 0.0;
         let mut run = run_scenario(&s).expect("runs");
-        // Doctor the opposite-cache twin, whose flip toggles the fleet's
-        // shared percept cache with the rest: pretend a cache changed an
+        // Doctor the opposite-cache twin: pretend a cache changed an
         // outcome when it toggled.
         run.cache_flip.outcome.succeeded += 1;
         let eval = evaluate(&run);

@@ -13,7 +13,7 @@
 //! that did take faults are unconstrained across rungs.)
 //!
 //! Every run also gathers a sequential re-execution with every cache —
-//! frame, layout and percept, the fleet's included — toggled the other
+//! the frame cache and the identical-rebuild skip — toggled the other
 //! way, feeding the cache-transparent oracle: caching is an
 //! optimization, never an observable, so the flipped evidence must be
 //! byte-identical.

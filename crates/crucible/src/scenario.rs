@@ -57,11 +57,11 @@ pub struct Scenario {
     pub max_attempts: u32,
     /// Worker threads; > 1 arms the parallel-vs-sequential oracle.
     pub workers: usize,
-    /// Whether runs use the caches: frame, layout and percept, the
-    /// fleet's included. Caching is contractually invisible — the runner
-    /// always gathers an opposite-cache re-run and the cache-transparent
-    /// oracle demands byte-identical evidence — so this knob only
-    /// decides which side is the baseline.
+    /// Whether runs use the caches: the frame cache and the
+    /// identical-rebuild skip. Caching is contractually invisible — the
+    /// runner always gathers an opposite-cache re-run and the
+    /// cache-transparent oracle demands byte-identical evidence — so this
+    /// knob only decides which side is the baseline.
     pub use_cache: bool,
 }
 

@@ -14,14 +14,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use eclair_fm::{shared_percept_cache, SharedPerceptCache};
 use eclair_trace::{MergeError, TraceEvent};
 
 use crate::backoff::RetryPolicy;
 use crate::queue::BoundedQueue;
 use crate::report::{FleetReport, FleetTiming, RunRecord};
 use crate::spec::RunSpec;
-use crate::worker::{cancelled_record, execute_spec_shared};
+use crate::worker::{cancelled_record, execute_spec};
 
 /// Cooperative cancellation flag, cloneable across threads. Cancelling
 /// stops new submissions and new attempts; runs mid-attempt finish their
@@ -97,16 +96,12 @@ impl FleetConfig {
     }
 }
 
-/// The scheduler handle. Owns the fleet's percept cache, which every
-/// model of every run perceives through, and which therefore persists
-/// across `run`/`run_sequential` invocations on the same `Fleet` — that
-/// persistence is where cross-run hits come from (re-executed suites,
-/// retry rescues, metamorphic re-runs).
+/// The scheduler handle: a configuration and a cancellation token. It
+/// holds no other state, so a run depends only on its spec.
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
     cancel: CancelToken,
-    shared: Arc<SharedPerceptCache>,
 }
 
 impl Default for Fleet {
@@ -121,20 +116,12 @@ impl Fleet {
         Self {
             config,
             cancel: CancelToken::new(),
-            shared: shared_percept_cache(),
         }
     }
 
     /// The fleet's configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// The fleet's percept cache (benches read its quarantined stats;
-    /// harnesses may hand the same `Fleet` a second suite to harvest
-    /// cross-invocation hits).
-    pub fn shared_cache(&self) -> &Arc<SharedPerceptCache> {
-        &self.shared
     }
 
     /// A token that cancels this fleet when triggered (from any thread).
@@ -159,12 +146,7 @@ impl Fleet {
                         let run = if self.cancel.is_cancelled() {
                             cancelled_record(&spec)
                         } else {
-                            execute_spec_shared(
-                                &spec,
-                                &self.config.retry,
-                                &self.cancel,
-                                Some(&self.shared),
-                            )
+                            execute_spec(&spec, &self.config.retry, &self.cancel)
                         };
                         results.lock().unwrap().push(run);
                     }
@@ -202,7 +184,7 @@ impl Fleet {
                 if self.cancel.is_cancelled() {
                     cancelled_record(spec)
                 } else {
-                    execute_spec_shared(spec, &self.config.retry, &self.cancel, Some(&self.shared))
+                    execute_spec(spec, &self.config.retry, &self.cancel)
                 }
             })
             .collect();

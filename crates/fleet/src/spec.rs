@@ -114,11 +114,11 @@ impl RunSpec {
         self
     }
 
-    /// Toggle every cache for every attempt of this run: the frame cache,
-    /// the identical-rebuild skip and the percept cache, a fleet's included. Caching
-    /// is transparent (identical records and traces either way), so this
-    /// only changes wall-clock and the quarantined perf counters;
-    /// `ECLAIR_NO_CACHE=1` still force-disables them at execution time.
+    /// Toggle both caches for every attempt of this run: the frame cache
+    /// and the identical-rebuild skip. Caching is transparent (identical
+    /// records and traces either way), so this only changes wall-clock
+    /// and the quarantined perf counters; `ECLAIR_NO_CACHE=1` still
+    /// force-disables them at execution time.
     pub fn with_cache(mut self, on: bool) -> Self {
         self.config.use_cache = on;
         self

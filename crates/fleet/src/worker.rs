@@ -52,20 +52,6 @@ pub fn execute_spec(
     policy: &RetryPolicy,
     cancel: &CancelToken,
 ) -> (RunRecord, Vec<TraceEvent>) {
-    execute_spec_shared(spec, policy, cancel, None)
-}
-
-/// As [`execute_spec`], with a fleet's percept cache attached to every
-/// model the run instantiates (initial attempts *and* hybrid rescues —
-/// both must see the same cache, or a rescue would recompute percepts
-/// its bot attempt already published). Caching stays transparent, so
-/// the record and events are byte-identical with and without the handle.
-pub fn execute_spec_shared(
-    spec: &RunSpec,
-    policy: &RetryPolicy,
-    cancel: &CancelToken,
-    shared: Option<&Arc<SharedPerceptCache>>,
-) -> (RunRecord, Vec<TraceEvent>) {
     let mut books = Books::default();
     let mut jitter_rng = StdRng::seed_from_u64(derive_seed(spec.seed, BACKOFF_STREAM));
     let max_attempts = policy.max_attempts.max(1);
@@ -86,7 +72,7 @@ pub fn execute_spec_shared(
             break;
         }
         attempts = attempt;
-        let mut model = attempt_model(spec, attempt, shared);
+        let mut model = attempt_model(spec, attempt);
         let (mut result, ran_pure) = match &spec.hybrid {
             Some(_) => hybrid_attempt(spec, &cfg, &mut model, &mut faults_injected),
             None => (
@@ -102,7 +88,7 @@ pub fn execute_spec_shared(
             // attempt a hybrid-free spec would have executed, so hybrid
             // mode can only add successes, never remove them.
             books.bank(&mut model, &result);
-            model = attempt_model(spec, attempt, shared);
+            model = attempt_model(spec, attempt);
             model
                 .trace_mut()
                 .note("hybrid: bot attempt failed; rescuing with a full FM run");
@@ -169,6 +155,18 @@ pub fn execute_spec_shared(
     (record, books.events)
 }
 
+/// Inert: runs [`execute_spec`] and ignores the cache handle, since
+/// perception keeps no cache. Kept only because the end-to-end benchmark
+/// still calls it; it goes when the benchmark drops the call.
+pub fn execute_spec_shared(
+    spec: &RunSpec,
+    policy: &RetryPolicy,
+    cancel: &CancelToken,
+    _shared: Option<&Arc<SharedPerceptCache>>,
+) -> (RunRecord, Vec<TraceEvent>) {
+    execute_spec(spec, policy, cancel)
+}
+
 /// What a run's attempts add up to.
 #[derive(Default)]
 struct Books {
@@ -191,21 +189,14 @@ impl Books {
     }
 }
 
-/// A fresh model for `attempt`, perceiving through `shared` when given.
-/// Its clock is re-seated on the *run* identity: latency draws are pure
-/// in `(run seed, run_id, step)`, shared by all attempts, so a retried
-/// step replays its attempt's latency exactly.
-fn attempt_model(
-    spec: &RunSpec,
-    attempt: u32,
-    shared: Option<&Arc<SharedPerceptCache>>,
-) -> FmModel {
+/// A fresh model for `attempt`. Its clock is re-seated on the *run*
+/// identity: latency draws are pure in `(run seed, run_id, step)`, shared
+/// by all attempts, so a retried step replays its attempt's latency
+/// exactly.
+fn attempt_model(spec: &RunSpec, attempt: u32) -> FmModel {
     let mut model = spec
         .profile
         .instantiate(derive_seed(spec.seed, attempt as u64));
-    if let Some(cache) = shared {
-        model.attach_shared(Arc::clone(cache));
-    }
     model
         .trace_mut()
         .set_clock(VirtualClock::new(spec.seed, spec.run_id));

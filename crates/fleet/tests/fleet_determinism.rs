@@ -1,8 +1,9 @@
 //! The fleet's headline guarantee, pinned as tests: an 8-worker fleet
 //! produces byte-identical per-run records and merged trace to a
-//! sequential execution of the same specs — plus compile-time `Send +
-//! Sync` assertions for every type that crosses a worker boundary, and
-//! property tests over the retry/backoff schedule.
+//! sequential execution of the same specs, and to one with every cache
+//! off, at arbitrary seeds — plus compile-time `Send + Sync` assertions
+//! for every type that crosses a worker boundary, and property tests
+//! over the retry/backoff schedule.
 
 use eclair_fleet::{
     derive_seed, specs_for_tasks, Fleet, FleetConfig, RetryPolicy, RunOutcome, RunSpec,
@@ -141,6 +142,33 @@ fn budget_and_deadline_outcomes_survive_concurrency() {
 }
 
 proptest! {
+    /// Byte-identity across arbitrary seeds: 8 workers == sequential ==
+    /// every cache off, on records JSON and merged JSONL alike.
+    #[test]
+    fn fleet_is_byte_identical_to_sequential_and_to_cache_off(
+        seed in 0u64..1_000_000_000,
+    ) {
+        let specs = || {
+            specs_for_tasks(seed, all_tasks().into_iter().take(3).collect(), FmProfile::Gpt4V)
+        };
+        let fleet = Fleet::new(FleetConfig::default().with_workers(8).with_seed(seed));
+        let par = fleet.run(specs()).expect("parallel");
+        let seq = fleet.run_sequential(specs()).expect("sequential");
+        let off = fleet
+            .run(specs().into_iter().map(|s| s.with_cache(false)).collect())
+            .expect("cache off");
+        prop_assert_eq!(par.outcome.to_json(), seq.outcome.to_json());
+        prop_assert_eq!(par.outcome.to_json(), off.outcome.to_json());
+        prop_assert_eq!(
+            par.merged_trace_jsonl().unwrap(),
+            seq.merged_trace_jsonl().unwrap()
+        );
+        prop_assert_eq!(
+            par.merged_trace_jsonl().unwrap(),
+            off.merged_trace_jsonl().unwrap()
+        );
+    }
+
     /// The nominal backoff schedule is monotone non-decreasing and never
     /// exceeds the cap.
     #[test]

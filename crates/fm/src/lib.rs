@@ -40,7 +40,7 @@ pub mod text;
 pub mod tokens;
 
 pub use ground::GroundingOutcome;
-pub use model::{shared_percept_cache, FmModel, PerceptKey, SharedPerceptCache};
+pub use model::{shared_percept_cache, FmModel, SharedPerceptCache};
 pub use percept::{PerceivedElement, ScenePercept};
 pub use profile::{FmProfile, ModelProfile};
 pub use prompt::{Part, Prompt};

@@ -10,7 +10,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use eclair_gui::Screenshot;
-use eclair_shared::{Outcome, ShardedCache};
 use eclair_trace::{CostKind, EventKind, TraceRecorder, VirtualClock};
 use eclair_vision::marks::{Mark, MarkedScreenshot};
 
@@ -21,24 +20,17 @@ use crate::prompt::Prompt;
 use crate::sampling::{judge_ensemble, Judgment, Sampling};
 use crate::tokens::TokenMeter;
 
-/// The full purity tuple a percept is keyed by, in any cache:
-/// `(model seed, profile fingerprint, frame hash)`. Perception is a pure
-/// function of exactly this tuple — keying on anything less (the bare
-/// frame hash, say) cross-serves percepts the moment a cache is shared
-/// between models with different seeds or profiles.
-pub type PerceptKey = (u64, u64, u64);
+/// Inert: perception keeps no cache, so this handle holds nothing. Kept
+/// only because the end-to-end benchmark still names it (with
+/// [`shared_percept_cache`] and [`FmModel::attach_shared`]); it goes when
+/// the benchmark drops those calls.
+#[derive(Debug)]
+pub struct SharedPerceptCache;
 
-/// A percept cache: a model's private one, or a fleet's, which every
-/// worker and run of the fleet holds (see `eclair-shared` for the
-/// lock-striping and single-flight protocol).
-pub type SharedPerceptCache = ShardedCache<PerceptKey, ScenePercept>;
-
-/// Build a shared percept cache at the fleet default geometry: 16 lock
-/// stripes × 256 percepts per stripe. Workers touching different stripes
-/// never serialize; 4096 resident percepts comfortably covers a 30-task
-/// suite's distinct frames.
+/// Inert: an empty [`SharedPerceptCache`] handle, kept only because the
+/// end-to-end benchmark still calls it.
 pub fn shared_percept_cache() -> Arc<SharedPerceptCache> {
-    Arc::new(ShardedCache::new(16, 256))
+    Arc::new(SharedPerceptCache)
 }
 
 /// A live (simulated) foundation model.
@@ -65,29 +57,7 @@ pub struct FmModel {
     meter: TokenMeter,
     sampling: Sampling,
     trace: TraceRecorder,
-    /// Whether `perceive` consults the percept cache (`ECLAIR_NO_CACHE=1`
-    /// turns it off globally). Flipping it must be unobservable outside
-    /// `eclair_trace::perf`.
-    cache_enabled: bool,
-    /// FNV-1a fingerprint of the full profile (its `Debug` rendering, a
-    /// superset of the name): part of every percept key, so two profiles
-    /// that share a name but differ in any capability parameter still
-    /// key separately. Filled by the first [`Self::perceive`]; the
-    /// profile never changes after construction.
-    profile_fp: Option<u64>,
-    /// The one percept cache `perceive` looks up: a private one-stripe
-    /// cache from construction, or the fleet's once
-    /// [`Self::attach_shared`] swaps it in.
-    percepts: Arc<SharedPerceptCache>,
-    /// Whether `percepts` is a fleet's cache: its lookups also count in
-    /// the `shared_*` perf counters.
-    shared: bool,
 }
-
-/// Most percepts a model's private cache keeps (FIFO). Executors revisit
-/// a handful of frames per task (probe loops, validators re-reading the
-/// screen); the cap just bounds memory on long sessions.
-const PERCEPT_MEMO_CAP: usize = 64;
 
 /// SplitMix64 finalizer-style mixer (same construction as
 /// `eclair_fleet::derive_seed` / the chaos schedule): derives the seed of
@@ -124,30 +94,13 @@ impl FmModel {
             meter: TokenMeter::default(),
             sampling: Sampling::greedy(),
             trace,
-            cache_enabled: !eclair_gui::no_cache_env(),
-            profile_fp: None,
-            percepts: Arc::new(ShardedCache::new(1, PERCEPT_MEMO_CAP)),
-            shared: false,
         }
     }
 
-    /// Turn the percept cache on or off for this model instance. Off,
-    /// `perceive` bypasses it; flipping never clears it, so whatever it
-    /// holds serves again once the cache is back on.
-    pub fn set_cache_enabled(&mut self, on: bool) {
-        self.cache_enabled = on;
-    }
-
-    /// Perceive through a fleet's percept cache instead of this model's
-    /// private one. Under the `ECLAIR_NO_CACHE=1` kill switch this is a
-    /// no-op: the fleet's cache is never installed, not merely disabled.
-    pub fn attach_shared(&mut self, cache: Arc<SharedPerceptCache>) {
-        if eclair_gui::no_cache_env() {
-            return;
-        }
-        self.percepts = cache;
-        self.shared = true;
-    }
+    /// Does nothing: perception keeps no cache. Kept only because the
+    /// end-to-end benchmark still calls it; it goes when the benchmark
+    /// drops the call.
+    pub fn attach_shared(&mut self, _cache: Arc<SharedPerceptCache>) {}
 
     /// The model's capability profile.
     pub fn profile(&self) -> &ModelProfile {
@@ -178,8 +131,7 @@ impl FmModel {
         // Advance simulated time before emitting, so the event is stamped
         // with the post-call clock. Decode dominates real FM latency,
         // hence the 4× completion weight. This is the single advance
-        // point for FM work: a cached perception accounts the same
-        // tokens as the recompute, so the clock stays cache-transparent.
+        // point for FM work.
         let kind = if purpose == "perceive" {
             CostKind::Perceive
         } else {
@@ -222,59 +174,19 @@ impl FmModel {
     ///
     /// Perception noise draws from a *pure* per-frame stream seeded by
     /// `(model seed, profile, frame hash)` — never from the model's main
-    /// RNG — so perceiving the same frame twice yields the same percept
-    /// and perturbs nothing downstream. That purity is what licenses the
-    /// percept cache, private or a fleet's: whatever any model stored
-    /// under the key is exactly what this one would compute. A hit
-    /// returns the stored percept *and accounts the exact tokens the
-    /// recompute would have*, keeping the meter and the trace
-    /// byte-identical with the cache off. The tokens a provider-side
-    /// cache would have saved are reported only through the quarantined
-    /// `eclair_trace::perf` counters (`cached_tokens`, and
-    /// `shared_cached_tokens` for lookups on a fleet's cache).
+    /// RNG — so perceiving the same frame twice yields the same percept,
+    /// accounts the same tokens and perturbs nothing downstream.
     pub fn perceive(&mut self, shot: &Screenshot) -> ScenePercept {
-        let frame = shot.frame_hash();
-        let profile_fp = *self
-            .profile_fp
-            .get_or_insert_with(|| fnv_str(&format!("{:?}", self.profile)));
-        let key: PerceptKey = (self.seed, profile_fp, frame);
-        let prompt_tokens = 85 + 4 * shot.items.len() as u64;
-        let (seed, profile) = (self.seed, &self.profile);
-        let compute = || {
-            let stream_seed = mix(mix(seed, fnv_str(&profile.name)), frame);
-            perceive(shot, profile, &mut StdRng::seed_from_u64(stream_seed))
-        };
-        if !self.cache_enabled {
-            let percept = compute();
-            self.account(
-                "perceive",
-                prompt_tokens,
-                2 + 4 * percept.elements.len() as u64,
-            );
-            return percept;
-        }
-        let (percept, outcome) = self.percepts.get_or_compute(key, compute);
-        let completion_tokens = 2 + 4 * percept.elements.len() as u64;
-        self.account("perceive", prompt_tokens, completion_tokens);
-        eclair_trace::perf::record(|c| {
-            if let Outcome::Computed { evicted } = outcome {
-                c.perceive_memo_misses += 1;
-                if self.shared {
-                    c.shared_misses += 1;
-                    c.shared_evictions += evicted as u64;
-                }
-                return;
-            }
-            c.perceive_memo_hits += 1;
-            c.cached_tokens += prompt_tokens + completion_tokens;
-            if self.shared {
-                match outcome {
-                    Outcome::Hit => c.shared_hits += 1,
-                    _ => c.single_flight_waits += 1,
-                }
-                c.shared_cached_tokens += prompt_tokens + completion_tokens;
-            }
-        });
+        let stream_seed = mix(
+            mix(self.seed, fnv_str(&self.profile.name)),
+            shot.frame_hash(),
+        );
+        let percept = perceive(shot, &self.profile, &mut StdRng::seed_from_u64(stream_seed));
+        self.account(
+            "perceive",
+            85 + 4 * shot.items.len() as u64,
+            2 + 4 * percept.elements.len() as u64,
+        );
         percept
     }
 
@@ -415,135 +327,6 @@ mod tests {
         // And perceiving the same frame is idempotent.
         let mut c = FmModel::new(ModelProfile::gpt4v(), 11);
         assert_eq!(c.perceive(&s), c.perceive(&s));
-    }
-
-    #[test]
-    fn memoized_perceive_is_transparent_to_meter_and_trace() {
-        eclair_trace::perf::reset();
-        let s = shot();
-        let run = |cache: bool| {
-            let mut m = FmModel::new(ModelProfile::gpt4v(), 23);
-            m.set_cache_enabled(cache);
-            let p1 = m.perceive(&s);
-            let p2 = m.perceive(&s);
-            (p1, p2, *m.meter(), m.trace().to_jsonl())
-        };
-        let (on1, on2, on_meter, on_trace) = run(true);
-        let (off1, off2, off_meter, off_trace) = run(false);
-        assert_eq!(on1, off1);
-        assert_eq!(on2, off2);
-        assert_eq!(on_meter, off_meter, "cache hits account identical tokens");
-        assert_eq!(on_trace, off_trace, "trace bytes identical either way");
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(c.perceive_memo_hits, 1, "second cache-on perceive hit");
-        assert_eq!(c.perceive_memo_misses, 1);
-        assert!(
-            c.cached_tokens > 0,
-            "hit tokens land in the perf quarantine"
-        );
-    }
-
-    #[test]
-    fn shared_cache_never_cross_serves_between_seeds_or_profiles() {
-        // The headline bugfix: the percept key carries the full purity
-        // tuple, so models differing in seed or profile that share one
-        // cache can never serve each other's percepts.
-        let s = shot();
-        let cache = shared_percept_cache();
-        let baseline = |profile: ModelProfile, seed: u64| {
-            let mut m = FmModel::new(profile, seed);
-            m.set_cache_enabled(false);
-            m.perceive(&s)
-        };
-        let mut a = FmModel::new(ModelProfile::gpt4v(), 1);
-        let mut b = FmModel::new(ModelProfile::gpt4v(), 2); // same profile, new seed
-        let mut c = FmModel::new(ModelProfile::cogagent_18b(), 1); // same seed, new profile
-        for m in [&mut a, &mut b, &mut c] {
-            m.attach_shared(Arc::clone(&cache));
-        }
-        assert_eq!(a.perceive(&s), baseline(ModelProfile::gpt4v(), 1));
-        assert_eq!(b.perceive(&s), baseline(ModelProfile::gpt4v(), 2));
-        assert_eq!(c.perceive(&s), baseline(ModelProfile::cogagent_18b(), 1));
-        assert_eq!(cache.len(), 3, "three distinct keys for one frame");
-        assert_eq!(cache.stats().hits, 0, "no cross-serving between tuples");
-    }
-
-    #[test]
-    fn shared_cache_hit_is_transparent_to_meter_and_trace() {
-        eclair_trace::perf::reset();
-        let s = shot();
-        let cache = shared_percept_cache();
-        let run = |attach: bool| {
-            let mut m = FmModel::new(ModelProfile::gpt4v(), 31);
-            if attach {
-                m.attach_shared(Arc::clone(&cache));
-            }
-            let p = m.perceive(&s);
-            (p, *m.meter(), m.trace().to_jsonl())
-        };
-        let (miss_p, miss_meter, miss_trace) = run(true); // populates the shard
-        let (hit_p, hit_meter, hit_trace) = run(true); // fresh instance, the shard is hot
-        let (off_p, off_meter, off_trace) = run(false); // a private cache, cold
-        assert_eq!(miss_p, hit_p);
-        assert_eq!(hit_p, off_p);
-        assert_eq!(
-            miss_meter, hit_meter,
-            "shared hits account identical tokens"
-        );
-        assert_eq!(hit_meter, off_meter);
-        assert_eq!(miss_trace, hit_trace, "trace bytes identical either way");
-        assert_eq!(hit_trace, off_trace);
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(c.shared_misses, 1, "first instance computed");
-        assert_eq!(c.shared_hits, 1, "second instance served by the shard");
-        assert!(c.shared_cached_tokens > 0, "savings land in the quarantine");
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn cache_flip_never_clears_the_cache() {
-        eclair_trace::perf::reset();
-        let s = shot();
-        let cache = shared_percept_cache();
-        let mut fleet_model = FmModel::new(ModelProfile::gpt4v(), 47);
-        fleet_model.attach_shared(Arc::clone(&cache));
-        let mut private_model = FmModel::new(ModelProfile::gpt4v(), 47);
-        for m in [&mut fleet_model, &mut private_model] {
-            let first = m.perceive(&s); // computes into the cache
-            m.set_cache_enabled(false);
-            assert_eq!(m.perceive(&s), first, "bypassed: no lookup");
-            m.set_cache_enabled(true);
-            assert_eq!(m.perceive(&s), first, "served from the cache");
-        }
-        assert_eq!(cache.len(), 1, "the flip left the fleet's entry resident");
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!((c.perceive_memo_hits, c.perceive_memo_misses), (2, 2));
-        assert_eq!((c.shared_hits, c.shared_misses), (1, 1));
-    }
-
-    #[test]
-    fn a_standalone_model_keeps_its_last_64_percepts() {
-        // FIFO over 64: the first frame is still resident after 63 other
-        // distinct frames, and recomputed after 64.
-        let shots: Vec<Screenshot> = (0..65)
-            .map(|i| {
-                let mut b = PageBuilder::new("m", "/m");
-                b.button("ok", format!("Confirm order {i}"));
-                b.finish().screenshot_at(0)
-            })
-            .collect();
-        let revisit_after = |others: usize| {
-            let mut m = FmModel::new(ModelProfile::gpt4v(), 3);
-            for s in &shots[..=others] {
-                m.perceive(s);
-            }
-            eclair_trace::perf::reset();
-            m.perceive(&shots[0]);
-            let c = eclair_trace::perf::snapshot();
-            (c.perceive_memo_hits, c.perceive_memo_misses)
-        };
-        assert_eq!(revisit_after(63), (1, 0), "a hit");
-        assert_eq!(revisit_after(64), (0, 1), "a recompute");
     }
 
     #[test]

@@ -277,8 +277,8 @@ impl Screenshot {
     /// Stable FNV-1a content hash of the frame: every byte of pixel-visible
     /// state (chrome, geometry, visual class, text, styling) feeds the
     /// digest, so two frames hash equal iff they would rasterize to the
-    /// same pixels. This is the content-address the session frame cache and
-    /// the percept cache key on.
+    /// same pixels. This is the content-address the session frame cache
+    /// keys on, and it seeds each frame's perception stream.
     ///
     /// Deliberately hashes item text *bytes*, never interned `Sym` ids:
     /// the hash seeds simulated FM perception, so it must be identical

@@ -16,9 +16,9 @@ use crate::VIEWPORT;
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache, the identical-rebuild skip and the percept cache
-/// everywhere. The cache-transparency invariant says flipping this must
-/// not change a single serialized byte.
+/// off the frame cache and the identical-rebuild skip everywhere. The
+/// cache-transparency invariant says flipping this must not change a
+/// single serialized byte.
 pub fn no_cache_env() -> bool {
     std::env::var("ECLAIR_NO_CACHE")
         .map(|v| v == "1")

@@ -210,14 +210,6 @@ impl MetricsRegistry {
             .copied()
             .unwrap_or(0);
         self.set_gauge("gui.intern_table_size", cur.max(size));
-        self.inc("cache.perceive_memo_hits", c.perceive_memo_hits);
-        self.inc("cache.perceive_memo_misses", c.perceive_memo_misses);
-        self.inc("cache.cached_tokens", c.cached_tokens);
-        self.inc("shared.hits", c.shared_hits);
-        self.inc("shared.misses", c.shared_misses);
-        self.inc("shared.evictions", c.shared_evictions);
-        self.inc("shared.single_flight_waits", c.single_flight_waits);
-        self.inc("shared.cached_tokens", c.shared_cached_tokens);
         self.inc("render.log_events", c.log_events_rendered);
         self.inc("render.log_allocations", c.log_allocations);
         self.inc("render.jsonl_events", c.jsonl_events_rendered);
@@ -485,21 +477,21 @@ mod tests {
     fn absorb_perf_exposes_cache_counters() {
         let c = eclair_trace::perf::PerfCounters {
             frame_cache_hits: 9,
-            cached_tokens: 1234,
-            shared_hits: 4,
-            single_flight_waits: 2,
-            shared_cached_tokens: 77,
+            relayouts_avoided: 4,
             ..Default::default()
         };
         let mut r = MetricsRegistry::new();
         r.absorb_perf(&c);
         assert_eq!(r.counters["cache.frame_hits"], 9);
-        assert_eq!(r.counters["cache.cached_tokens"], 1234);
+        assert_eq!(r.counters["cache.relayouts_avoided"], 4);
         assert_eq!(r.counters["cache.frame_misses"], 0);
-        assert_eq!(r.counters["shared.hits"], 4);
-        assert_eq!(r.counters["shared.single_flight_waits"], 2);
-        assert_eq!(r.counters["shared.cached_tokens"], 77);
-        assert_eq!(r.counters["shared.misses"], 0);
+        assert!(
+            !r.counters
+                .keys()
+                .any(|k| k.contains("perceive") || k.starts_with("shared.")),
+            "no counter of the deleted percept cache: {:?}",
+            r.counters.keys()
+        );
     }
 
     #[test]

@@ -208,10 +208,7 @@ pub fn audit_seq_gapless(events: &[TraceEvent]) -> Result<(), AuditError> {
 
 /// Token totals recomputed from the raw `FmCall` events. Oracles compare
 /// this against the `TokenMeter` the model kept — the two are accounted
-/// at the same funnel and must agree. (Tokens a provider-side cache
-/// would have served are *not* in here: the transparency invariant keeps
-/// them in the quarantined `crate::perf::PerfCounters::cached_tokens`
-/// counter, never in the event stream.)
+/// at the same funnel and must agree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TokenTotals {
     /// Prompt tokens summed over every `FmCall` event.

@@ -51,33 +51,22 @@ pub struct PerfCounters {
     /// This is a gauge, not a sum: [`merge`](Self::merge) takes the max so
     /// fleet-merged snapshots still report the true table size.
     pub intern_table_size: u64,
-    /// Percept-cache lookups that `FmModel::perceive` answered without
-    /// recomputing (hits and single-flight coalesces), on the model's
-    /// private cache or a fleet's. The name predates the one cache.
+    /// Always 0: perception keeps no cache. Kept only because the
+    /// end-to-end benchmark still reports it in `fm.perceive_lookups` and
+    /// `fm.perceive_memo_hit_rate`; it goes when the benchmark drops
+    /// those metrics.
     pub perceive_memo_hits: u64,
-    /// Percept-cache lookups that ran the full perception pass.
+    /// Always 0, as [`Self::perceive_memo_hits`].
     pub perceive_memo_misses: u64,
-    /// Tokens that a provider-side cache would have served from cache
-    /// (the accounted tokens of every `perceive_memo_hits` lookup).
-    /// Reported here — not in the meter — because the deterministic
-    /// accounting must stay identical with the cache off.
-    pub cached_tokens: u64,
-    /// The subset of `perceive_memo_hits` made on a fleet's percept cache
-    /// and found resident.
+    /// Always 0: no fleet-wide percept cache exists. Kept only because
+    /// the end-to-end benchmark still reports it in `fm.shared_lookups`
+    /// and `fm.shared_hit_rate`; it goes when the benchmark drops those
+    /// metrics.
     pub shared_hits: u64,
-    /// The subset of `perceive_memo_misses` made on a fleet's percept
-    /// cache (this call was the single-flight leader, or nothing was in
-    /// flight for the key).
+    /// Always 0, as [`Self::shared_hits`].
     pub shared_misses: u64,
-    /// Fleet-cache insertions that evicted an older entry (FIFO per shard
-    /// at capacity).
-    pub shared_evictions: u64,
-    /// The subset of `perceive_memo_hits` made on a fleet's percept cache
-    /// that blocked behind another worker's in-flight perception of the
-    /// same key and shared its value (single-flight coalesces).
+    /// Always 0, as [`Self::shared_hits`].
     pub single_flight_waits: u64,
-    /// The subset of `cached_tokens` served by a fleet's percept cache.
-    pub shared_cached_tokens: u64,
     /// Log lines produced by `render_log` since the last reset.
     pub log_events_rendered: u64,
     /// Buffer allocations `render_log` performed for those lines.
@@ -94,15 +83,16 @@ impl PerfCounters {
         rate(self.frame_cache_hits, self.frame_cache_misses)
     }
 
-    /// Percept-cache hit rate in [0, 1], counting coalesces as hits; 0
-    /// when no lookups happened.
+    /// Always 0, read from [`Self::perceive_memo_hits`] and
+    /// [`Self::perceive_memo_misses`]. Kept only because the end-to-end
+    /// benchmark still calls it; it goes with those fields.
     pub fn perceive_memo_rate(&self) -> f64 {
         rate(self.perceive_memo_hits, self.perceive_memo_misses)
     }
 
-    /// Fleet-cache hit rate in [0, 1], counting single-flight coalesces
-    /// as hits (they did not recompute); 0 when no lookup was made on a
-    /// fleet's cache.
+    /// Always 0, read from the `shared_*` fields and
+    /// [`Self::single_flight_waits`]. Kept only because the end-to-end
+    /// benchmark still calls it; it goes with those fields.
     pub fn shared_rate(&self) -> f64 {
         rate(
             self.shared_hits + self.single_flight_waits,
@@ -123,12 +113,9 @@ impl PerfCounters {
         self.intern_table_size = self.intern_table_size.max(other.intern_table_size);
         self.perceive_memo_hits += other.perceive_memo_hits;
         self.perceive_memo_misses += other.perceive_memo_misses;
-        self.cached_tokens += other.cached_tokens;
         self.shared_hits += other.shared_hits;
         self.shared_misses += other.shared_misses;
-        self.shared_evictions += other.shared_evictions;
         self.single_flight_waits += other.single_flight_waits;
-        self.shared_cached_tokens += other.shared_cached_tokens;
         self.log_events_rendered += other.log_events_rendered;
         self.log_allocations += other.log_allocations;
         self.jsonl_events_rendered += other.jsonl_events_rendered;
@@ -158,12 +145,9 @@ thread_local! {
         intern_table_size: 0,
         perceive_memo_hits: 0,
         perceive_memo_misses: 0,
-        cached_tokens: 0,
         shared_hits: 0,
         shared_misses: 0,
-        shared_evictions: 0,
         single_flight_waits: 0,
-        shared_cached_tokens: 0,
         log_events_rendered: 0,
         log_allocations: 0,
         jsonl_events_rendered: 0,
@@ -197,7 +181,6 @@ mod tests {
         record(|c| {
             c.frame_cache_hits += 3;
             c.frame_cache_misses += 1;
-            c.perceive_memo_hits += 1;
         });
         let s = snapshot();
         assert_eq!(s.frame_cache_hits, 3);
@@ -230,18 +213,18 @@ mod tests {
     fn merge_adds_fieldwise() {
         let mut a = PerfCounters {
             frame_cache_hits: 1,
-            cached_tokens: 10,
+            jsonl_events_rendered: 10,
             ..Default::default()
         };
         let b = PerfCounters {
             frame_cache_hits: 2,
             relayouts_avoided: 5,
-            cached_tokens: 7,
+            jsonl_events_rendered: 7,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.frame_cache_hits, 3);
         assert_eq!(a.relayouts_avoided, 5);
-        assert_eq!(a.cached_tokens, 17);
+        assert_eq!(a.jsonl_events_rendered, 17);
     }
 }

@@ -61,23 +61,25 @@ const CONFUSIONS: &[(char, char)] = &[
 /// Read one item's text with noise.
 pub fn read_item<R: Rng>(item: &PaintItem, acuity: Acuity, rng: &mut R) -> String {
     let rate = acuity.char_error_rate(glyph_height(item));
+    let text: &str = &item.text;
     if rate <= 0.0 {
-        return item.text.to_string();
+        return text.to_string();
     }
-    item.text
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() && rng.gen_bool(rate) {
-                CONFUSIONS
-                    .iter()
-                    .find(|(from, _)| *from == c)
-                    .map(|(_, to)| *to)
-                    .unwrap_or(c)
-            } else {
-                c
-            }
-        })
-        .collect()
+    // Every confusion swaps one ASCII character for another, so the read
+    // has exactly the text's byte length: one allocation.
+    let mut read = String::with_capacity(text.len());
+    read.extend(text.chars().map(|c| {
+        if c.is_alphanumeric() && rng.gen_bool(rate) {
+            CONFUSIONS
+                .iter()
+                .find(|(from, _)| *from == c)
+                .map(|(_, to)| *to)
+                .unwrap_or(c)
+        } else {
+            c
+        }
+    }));
+    read
 }
 
 /// Read every textual item of a screenshot; returns `(index, read_text)`

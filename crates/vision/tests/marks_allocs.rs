@@ -1,15 +1,19 @@
-//! Heap allocations of set-of-marks over HTML boxes, counted by a global
-//! allocator that tallies per thread: the marks borrow the page's
-//! interned strings and the frame is counted, not rendered, so building
-//! them allocates the same whatever the number of elements.
+//! Heap allocations of set-of-marks over HTML boxes and of a noisy OCR
+//! read, counted by a global allocator that tallies per thread: the marks
+//! borrow the page's interned strings and the frame is counted, not
+//! rendered, so building them allocates the same whatever the number of
+//! elements; a read allocates its output once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::hint::black_box;
 
-use eclair_gui::{Page, PageBuilder};
+use eclair_gui::{Page, PageBuilder, PaintItem, Rect, VisualClass};
 use eclair_vision::marks::marks_from_html;
+use eclair_vision::ocr::{glyph_height, read_item, Acuity};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct Counting;
 
@@ -100,4 +104,30 @@ fn html_marks_allocate_the_same_for_3_and_30_elements() {
         small_allocs, large_allocs,
         "3 elements: {small_allocs} allocations, 30 elements: {large_allocs}"
     );
+}
+
+#[test]
+fn a_noisy_ocr_read_allocates_once() {
+    let item = PaintItem {
+        rect: Rect::new(0, 0, 320, 10),
+        visual: VisualClass::Text,
+        text: "Invoice INV-2024-00518 from Oakridge Ltd".into(),
+        emphasis: false,
+        grayed: false,
+    };
+    let acuity = Acuity::new(0.3);
+    assert!(
+        acuity.char_error_rate(glyph_height(&item)) > 0.0,
+        "a noisy read"
+    );
+    let label_len = item.text.len();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut read = String::new();
+    let n = allocs(|| read = read_item(&item, acuity, &mut rng));
+    assert_eq!(
+        read.len(),
+        label_len,
+        "every confusion keeps the byte length"
+    );
+    assert_eq!(n, 1, "a {label_len}-byte read made {n} allocations");
 }

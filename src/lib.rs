@@ -40,7 +40,6 @@ pub use eclair_gui as gui;
 pub use eclair_hybrid as hybrid;
 pub use eclair_metrics as metrics;
 pub use eclair_rpa as rpa;
-pub use eclair_shared as shared;
 pub use eclair_sites as sites;
 pub use eclair_trace as trace;
 pub use eclair_vision as vision;
