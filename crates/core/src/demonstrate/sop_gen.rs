@@ -40,7 +40,7 @@ pub fn generate_sop(
 ) -> Sop {
     let span = model
         .trace_mut()
-        .open(eclair_trace::SpanKind::Demonstrate, wd);
+        .open(eclair_trace::SpanKind::Demonstrate, wd.to_owned());
     let steps = match level {
         EvidenceLevel::Wd => {
             let rate = model.profile().hallucination_rate;

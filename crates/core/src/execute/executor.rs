@@ -135,12 +135,12 @@ pub fn drive<S: GuiSurface>(
     // The run's narration lives in the trace as Note events; the returned
     // log is rendered back from the slice this run appended.
     let log_start = model.trace().events().len();
-    let exec_span = model.trace_mut().open(SpanKind::Execute, label);
+    let exec_span = model.trace_mut().open(SpanKind::Execute, label.to_owned());
     while attempted < max_steps {
         let step_no = attempted as u64 + 1;
         let step_span = model
             .trace_mut()
-            .open(SpanKind::Step, &format!("step {step_no}"));
+            .open(SpanKind::Step, format!("step {step_no}"));
         // Re-anchor the virtual clock's draw stream to this step (latency
         // draws are pure in `(seed, run_id, step)`), then charge the
         // fixed per-step overhead.
@@ -234,7 +234,7 @@ pub fn run_on_session<S: GuiSurface>(
                 model.trace_mut().note("done: plan exhausted");
                 return StepOutcome::Exhausted;
             };
-            let act_span = model.trace_mut().open(SpanKind::Actuate, &text);
+            let act_span = model.trace_mut().open(SpanKind::Actuate, text.clone());
             model.trace_mut().advance(CostKind::Actuate, 0);
             let first_try = perform(model, session, &intent, cfg);
             model.trace_mut().close(act_span);
@@ -260,7 +260,7 @@ pub fn run_on_session<S: GuiSurface>(
             model
                 .trace_mut()
                 .event(EventKind::Retry { what: text.clone() });
-            let retry_span = model.trace_mut().open(SpanKind::Actuate, &text);
+            let retry_span = model.trace_mut().open(SpanKind::Actuate, text.clone());
             model.trace_mut().advance(CostKind::Actuate, 0);
             let retried = perform(model, session, &intent, cfg);
             model.trace_mut().close(retry_span);
@@ -419,7 +419,7 @@ pub(crate) fn locate<S: GuiSurface>(
     cfg: &ExecConfig,
     query: &str,
 ) -> Result<eclair_gui::Point, String> {
-    let span = model.trace_mut().open(SpanKind::Ground, query);
+    let span = model.trace_mut().open(SpanKind::Ground, query.to_owned());
     let found = locate_inner(model, session, cfg, query);
     model.trace_mut().close(span);
     found

@@ -76,8 +76,8 @@ fn ground_and_dispatch<S: GuiSurface>(
     let pt = locate(model, session, cfg, query)?;
     let d = click_at(session, pt)?;
     let anchor = RepairedAnchor {
-        name: d.hit.as_ref().map(|(n, _)| n.clone()).unwrap_or_default(),
-        label: d.hit.as_ref().map(|(_, l)| l.clone()).unwrap_or_default(),
+        name: d.hit.map(|(n, _)| n.to_string()).unwrap_or_default(),
+        label: d.hit.map(|(_, l)| l.to_string()).unwrap_or_default(),
         point: pt,
     };
     match op {

@@ -36,6 +36,16 @@ pub enum GroundingStrategy {
 }
 
 impl GroundingStrategy {
+    /// The variant's name, as `Debug` prints it: what a grounding
+    /// attempt's trace event records, borrowed rather than formatted.
+    pub fn name(self) -> &'static str {
+        match self {
+            GroundingStrategy::Native => "Native",
+            GroundingStrategy::SomYolo => "SomYolo",
+            GroundingStrategy::SomHtml => "SomHtml",
+        }
+    }
+
     /// Paper column label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -131,7 +141,7 @@ pub fn ground_click(
     model
         .trace_mut()
         .event(eclair_trace::EventKind::GroundingAttempt {
-            strategy: format!("{strategy:?}"),
+            strategy: strategy.name().into(),
             outcome: if pt.is_some() {
                 eclair_trace::GroundingOutcome::Resolved
             } else {
@@ -220,6 +230,17 @@ mod tests {
     use super::*;
     use eclair_fm::ModelProfile;
     use eclair_gui::PageBuilder;
+
+    #[test]
+    fn strategy_name_is_its_debug_form() {
+        for s in [
+            GroundingStrategy::Native,
+            GroundingStrategy::SomYolo,
+            GroundingStrategy::SomHtml,
+        ] {
+            assert_eq!(s.name(), format!("{s:?}"));
+        }
+    }
 
     fn form_page() -> Page {
         let mut b = PageBuilder::new("g", "/g");

@@ -215,6 +215,29 @@ proptest! {
         prop_assert!(d >= floor.saturating_sub(1), "d={} floor={}", d, floor);
     }
 
+    /// The length pass that sizes an export measures a whole fleet
+    /// outcome (records, rollups, latency stats, float costs) and its
+    /// merged trace exactly, at arbitrary seeds.
+    #[test]
+    fn length_pass_measures_the_outcome_and_trace_exactly(
+        fleet_seed in 0u64..u64::MAX,
+        runs in 1usize..5,
+    ) {
+        let tasks = all_tasks().into_iter().take(runs).collect();
+        let report = Fleet::new(FleetConfig {
+            fleet_seed,
+            ..FleetConfig::default()
+        })
+        .run_sequential(specs_for_tasks(fleet_seed, tasks, FmProfile::Gpt4V))
+        .expect("sequential run");
+        let json = report.outcome.to_json();
+        let mut len = serde::ByteCount::default();
+        serde::Serialize::write_json(&report.outcome, &mut len);
+        prop_assert_eq!(len.0, json.len());
+        let trace = report.merged_trace_jsonl().unwrap();
+        prop_assert_eq!(trace.capacity(), trace.len());
+    }
+
     /// Seed derivation is injective-enough in practice: distinct run ids
     /// under one fleet seed never collide in a small window.
     #[test]

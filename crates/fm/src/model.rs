@@ -125,8 +125,9 @@ impl FmModel {
 
     /// Record one FM call against the meter *and* the trace. Every token
     /// the meter sees flows through here, so the trace's rolled-up call
-    /// and token counts always agree with [`Self::meter`].
-    pub fn account(&mut self, purpose: &str, prompt_tokens: u64, completion_tokens: u64) {
+    /// and token counts always agree with [`Self::meter`]. `purpose` is
+    /// one of a fixed set of names, borrowed into the event.
+    pub fn account(&mut self, purpose: &'static str, prompt_tokens: u64, completion_tokens: u64) {
         self.meter.record(prompt_tokens, completion_tokens);
         // Advance simulated time before emitting, so the event is stamped
         // with the post-call clock. Decode dominates real FM latency,
@@ -140,7 +141,7 @@ impl FmModel {
         self.trace
             .advance(kind, prompt_tokens + 4 * completion_tokens);
         self.trace.event(EventKind::FmCall {
-            purpose: purpose.to_string(),
+            purpose: purpose.into(),
             prompt_tokens,
             completion_tokens,
         });

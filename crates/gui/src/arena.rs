@@ -181,7 +181,7 @@ impl<'a> IntoIterator for &'a ChildVec {
 }
 
 impl Serialize for ChildVec {
-    fn write_json(&self, out: &mut String) {
+    fn write_json<O: serde::Output>(&self, out: &mut O) {
         self.as_slice().write_json(out);
     }
 }

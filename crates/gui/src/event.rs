@@ -5,6 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::geometry::Point;
+use crate::intern::Sym;
 
 /// Keyboard keys the simulator models. Printable characters arrive through
 /// [`UserEvent::Type`] instead.
@@ -108,8 +109,9 @@ pub enum EffectKind {
 pub struct Dispatch {
     /// The raw event as issued.
     pub event: UserEvent,
-    /// `(name, label)` of the widget the event resolved to, if any.
-    pub hit: Option<(String, String)>,
+    /// `(name, label)` of the widget the event resolved to, if any, as
+    /// the handles the widget holds (each serializes as its string).
+    pub hit: Option<(Sym, Sym)>,
     /// The classified effect.
     pub effect: EffectKind,
     /// The app URL after the event settled.

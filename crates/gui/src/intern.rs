@@ -32,6 +32,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -47,8 +48,47 @@ use serde::{Deserialize, Serialize, Value};
 pub struct Sym(u32);
 
 struct Interner {
-    map: HashMap<&'static str, u32>,
+    map: StrMap,
     strings: Vec<&'static str>,
+}
+
+/// A string-to-id map under [`FxHasher`].
+type StrMap = HashMap<&'static str, u32, BuildHasherDefault<FxHasher>>;
+
+/// The Fx hash (Firefox's, later rustc's): a rotate, xor and multiply per
+/// 8-byte word. Much cheaper than the default SipHash on the short strings
+/// the interner sees, and it needs no seed. Neither map is ever iterated,
+/// so the hash decides speed only: ids come from the table's insertion
+/// order. It does not resist collisions crafted on purpose, which a
+/// simulator's strings are not.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        let rest = words.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The strings the table holds from its creation, each at its index as
@@ -77,7 +117,7 @@ fn table() -> MutexGuard<'static, Interner> {
 #[derive(Default)]
 struct Local {
     strings: Vec<&'static str>,
-    map: HashMap<&'static str, u32>,
+    map: StrMap,
 }
 
 impl Local {
@@ -288,7 +328,7 @@ impl Ord for Sym {
 // Serde writes the resolved string, never the id: intern ids are assigned
 // in first-intern order and must not leak into any serialized artifact.
 impl Serialize for Sym {
-    fn write_json(&self, out: &mut String) {
+    fn write_json<O: serde::Output>(&self, out: &mut O) {
         self.as_str().write_json(out);
     }
 }

@@ -89,7 +89,7 @@ pub struct Screenshot {
 // derive's field-order map, minus the hash memo — a deserialized frame
 // re-earns its hash on first use.
 impl Serialize for Screenshot {
-    fn write_json(&self, out: &mut String) {
+    fn write_json<O: serde::Output>(&self, out: &mut O) {
         out.push_str("{\"viewport\":");
         self.viewport.write_json(out);
         out.push_str(",\"url\":");
@@ -100,7 +100,7 @@ impl Serialize for Screenshot {
         self.scroll_y.write_json(out);
         out.push_str(",\"items\":");
         self.items.write_json(out);
-        out.push('}');
+        out.push_str("}");
     }
 }
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use crate::event::{Dispatch, EffectKind, Key, SemanticEvent, UserEvent};
 use crate::geometry::{Point, Rect};
+use crate::intern::Sym;
 use crate::screenshot::Screenshot;
 use crate::theme::Theme;
 use crate::tree::{keep_spare, take_spare, Page, Spares};
@@ -82,13 +83,11 @@ pub trait GuiApp {
 /// The accessible name an OS-level recorder resolves for a widget: its
 /// label, else (for fields) its placeholder — the same fallback chain
 /// screen readers use.
-fn accessible_name(w: &crate::widget::Widget) -> String {
-    if !w.label.is_empty() {
-        w.label.to_string()
-    } else if w.kind.is_editable() && !w.placeholder.is_empty() {
-        w.placeholder.to_string()
+fn accessible_name(w: &crate::widget::Widget) -> Sym {
+    if w.label.is_empty() && w.kind.is_editable() && !w.placeholder.is_empty() {
+        w.placeholder
     } else {
-        w.label.to_string()
+        w.label
     }
 }
 
@@ -112,7 +111,7 @@ pub struct Session {
     /// the same URL transplant these values unconditionally — a re-render
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
-    edited: std::collections::HashSet<crate::intern::Sym>,
+    edited: std::collections::HashSet<Sym>,
     /// Whether the frame cache and the identical-rebuild skip are on.
     /// Defaults to `!no_cache_env()`; flipping it must be unobservable in
     /// any serialized artifact (the transparency invariant).
@@ -292,7 +291,7 @@ impl Session {
             // not); untouched fields only fill in where the rebuild left
             // them empty.
             self.scroll_y = self.scroll_y.clamp(0, self.max_scroll());
-            let names: Vec<(crate::intern::Sym, crate::intern::Sym)> = old
+            let names: Vec<(Sym, Sym)> = old
                 .iter()
                 .filter(|w| !w.name.is_empty() && (w.kind.is_editable() || w.kind.is_toggleable()))
                 .map(|w| (w.name, w.value))
@@ -348,21 +347,21 @@ impl Session {
         }
     }
 
-    fn focus_hit(&self) -> Option<(String, String)> {
+    fn focus_hit(&self) -> Option<(Sym, Sym)> {
         self.focus.map(|id| {
             let w = self.page.get(id);
-            (w.name.to_string(), accessible_name(w))
+            (w.name, accessible_name(w))
         })
     }
 
-    fn handle_click(&mut self, viewport_pt: Point) -> (Option<(String, String)>, EffectKind) {
+    fn handle_click(&mut self, viewport_pt: Point) -> (Option<(Sym, Sym)>, EffectKind) {
         let page_pt = viewport_pt.offset(0, self.scroll_y);
         let Some(id) = self.page.hit_test(page_pt) else {
             self.focus = None;
             return (None, EffectKind::NoOp);
         };
         let w = self.page.get(id);
-        let hit = Some((w.name.to_string(), accessible_name(w)));
+        let hit = Some((w.name, accessible_name(w)));
         let kind = w.kind;
         if kind.is_editable() {
             self.focus = Some(id);
@@ -482,7 +481,7 @@ impl Session {
         EffectKind::Typed
     }
 
-    fn handle_key(&mut self, key: Key) -> (Option<(String, String)>, EffectKind) {
+    fn handle_key(&mut self, key: Key) -> (Option<(Sym, Sym)>, EffectKind) {
         match key {
             Key::Backspace => {
                 if let Some(id) = self.focus {
@@ -536,11 +535,10 @@ impl Session {
                 let Some(id) = target else {
                     return (None, EffectKind::NoOp);
                 };
-                let name = self.page.get(id).name.to_string();
-                let label = self.page.get(id).label.to_string();
-                let rebuild = self
-                    .app
-                    .on_event(SemanticEvent::Dismissed { name: name.clone() });
+                let (name, label) = (self.page.get(id).name, self.page.get(id).label);
+                let rebuild = self.app.on_event(SemanticEvent::Dismissed {
+                    name: name.to_string(),
+                });
                 if rebuild {
                     self.after_app_event();
                 } else {
@@ -699,9 +697,7 @@ fn structural_key(page: &Page, key: &mut Vec<u64>) {
     // Interned ids are exact stand-ins for the strings (equal ids iff
     // equal contents) and never leave the process, so the key uses them —
     // unlike `frame_hash`, which crosses runs.
-    let pair = |lo: crate::intern::Sym, hi: crate::intern::Sym| {
-        u64::from(lo.id()) | u64::from(hi.id()) << 32
-    };
+    let pair = |lo: Sym, hi: Sym| u64::from(lo.id()) | u64::from(hi.id()) << 32;
     for w in page.iter() {
         key.extend_from_slice(&[
             w.kind as u64,

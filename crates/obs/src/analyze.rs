@@ -340,7 +340,7 @@ mod tests {
         for run in 0..2u64 {
             let mut t = TraceRecorder::new();
             t.set_clock(VirtualClock::new(3, run));
-            let exec = t.open(SpanKind::Execute, &format!("run {run}"));
+            let exec = t.open(SpanKind::Execute, format!("run {run}"));
             t.clock_begin_step(1);
             t.advance(CostKind::StepInit, 0);
             let step = t.open(SpanKind::Step, "step 1");

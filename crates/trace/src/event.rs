@@ -2,6 +2,8 @@
 //! event record that everything downstream (rollups, JSONL, the flight
 //! recorder) consumes.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 /// What a span represents in the Demonstrate → Execute → Validate
@@ -56,25 +58,32 @@ impl SpanKind {
 
 /// A typed trace event. Everything the pipeline reports flows through
 /// these variants; free-text narration is a `Note`.
+///
+/// The fields that usually hold a fixed name (span labels, FM-call
+/// purposes, grounding strategies, validator names) are
+/// `Cow<'static, str>`: a literal is borrowed, never allocated, cloned or
+/// freed, while a label made from run text is owned. Both write the same
+/// JSON string, and a parsed trace holds owned values, which compare
+/// equal to borrowed ones.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// A span opened. `id` is unique within the run.
     SpanStart {
         id: u64,
         kind: SpanKind,
-        label: String,
+        label: Cow<'static, str>,
     },
     /// The span with `id` closed.
     SpanEnd { id: u64, kind: SpanKind },
     /// One foundation-model invocation with its token accounting.
     FmCall {
-        purpose: String,
+        purpose: Cow<'static, str>,
         prompt_tokens: u64,
         completion_tokens: u64,
     },
     /// One grounding attempt and how it went.
     GroundingAttempt {
-        strategy: String,
+        strategy: Cow<'static, str>,
         outcome: GroundingOutcome,
     },
     /// An action was retried after a recovery step.
@@ -86,7 +95,10 @@ pub enum EventKind {
     /// is the stable kind name (e.g. `"stale-frame"`).
     FaultInjected { step: u64, fault: String },
     /// A validator produced a verdict.
-    ValidatorVerdict { validator: String, passed: bool },
+    ValidatorVerdict {
+        validator: Cow<'static, str>,
+        passed: bool,
+    },
     /// The hybrid compiler lowered one validated-trace action into a bot
     /// step anchored by `selector` (`eclair-hybrid`). `step` is the
     /// 0-based script position.

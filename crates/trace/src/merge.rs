@@ -119,8 +119,8 @@ fn splice<S: AsRef<[TraceEvent]>>(
 }
 
 /// Serialize a merged stream as JSON Lines (same format as
-/// [`crate::TraceRecorder::to_jsonl`]): one pre-sized output buffer, no
-/// per-event allocation.
+/// [`crate::TraceRecorder::to_jsonl`]): one output buffer, sized exactly
+/// by a length pass, so the export allocates once and never grows.
 pub fn merged_jsonl(events: &[TraceEvent]) -> Result<String, MergeError> {
     crate::recorder::events_to_jsonl(events)
         .map_err(|(seq, message)| MergeError::Serialize { seq, message })

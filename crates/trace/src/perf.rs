@@ -73,7 +73,8 @@ pub struct PerfCounters {
     pub log_allocations: u64,
     /// Events serialized by the JSONL exporters since the last reset.
     pub jsonl_events_rendered: u64,
-    /// Output-buffer allocations those exporters performed.
+    /// Output buffers those exporters allocated: one per export, sized
+    /// exactly by a length pass and never grown.
     pub jsonl_allocations: u64,
 }
 

@@ -1,6 +1,10 @@
 //! The recorder: spans open/close, events append with monotonically
 //! increasing sequence numbers, and the whole run exports as JSONL.
 
+use std::borrow::Cow;
+
+use serde::{ByteCount, Serialize};
+
 use crate::event::{EventKind, SpanKind, TraceEvent};
 use crate::flight::FlightTail;
 use crate::summary::RunSummary;
@@ -40,16 +44,17 @@ impl TraceRecorder {
     }
 
     /// Open a span; events emitted until the matching [`close`] are
-    /// attributed to it.
+    /// attributed to it. A literal label is borrowed; a `String` label
+    /// moves in.
     ///
     /// [`close`]: TraceRecorder::close
-    pub fn open(&mut self, kind: SpanKind, label: &str) -> SpanId {
+    pub fn open(&mut self, kind: SpanKind, label: impl Into<Cow<'static, str>>) -> SpanId {
         self.next_span += 1;
         let id = self.next_span;
         self.push(EventKind::SpanStart {
             id,
             kind,
-            label: label.to_string(),
+            label: label.into(),
         });
         self.stack.push((id, kind));
         SpanId(id)
@@ -148,9 +153,9 @@ impl TraceRecorder {
     }
 
     /// Serialize the whole trace as JSON Lines (one event per line).
-    /// Events are written straight into one pre-sized output buffer, so
-    /// the export allocates nothing per event: only that buffer and its
-    /// growth (see `perf` counters and `tests/export_allocs.rs`).
+    /// Events are written straight into one output buffer sized exactly
+    /// beforehand, so the export makes one allocation and never grows it
+    /// (see `perf` counters and `tests/export_allocs.rs`).
     pub fn to_jsonl(&self) -> String {
         events_to_jsonl(&self.events).expect("trace events serialize")
     }
@@ -194,17 +199,24 @@ pub fn render_log(events: &[TraceEvent]) -> Vec<String> {
     out
 }
 
-/// Serialize an event stream as JSON Lines into one pre-sized buffer.
-/// Each event's `Serialize` impl appends its JSON text to the buffer
-/// directly (`serde_json::to_string_into`), with no intermediate value
-/// tree, so the only allocations are the buffer and its growth. Errors
-/// carry the failing event's `seq`.
+/// Serialize an event stream as JSON Lines into one buffer of exactly the
+/// right size. A length pass runs each event's `Serialize` impl into a
+/// [`ByteCount`], the same code that renders it, so the sum is the
+/// rendered length and the buffer is allocated once, never grown. The
+/// render then appends each event's JSON text to the buffer directly
+/// (`serde_json::to_string_into`), with no intermediate value tree.
+/// Errors carry the failing event's `seq`.
 pub(crate) fn events_to_jsonl(events: &[TraceEvent]) -> Result<String, (u64, String)> {
-    let mut buf = String::with_capacity(events.len() * 96);
+    let mut len = ByteCount(events.len()); // one newline per event
+    for e in events {
+        e.write_json(&mut len);
+    }
+    let mut buf = String::with_capacity(len.0);
     for e in events {
         serde_json::to_string_into(e, &mut buf).map_err(|err| (e.seq, err.to_string()))?;
         buf.push('\n');
     }
+    debug_assert_eq!(buf.len(), len.0, "the length pass is exact");
     crate::perf::record(|c| {
         c.jsonl_events_rendered += events.len() as u64;
         c.jsonl_allocations += 1; // the single output buffer
@@ -308,6 +320,52 @@ mod tests {
         let text = t.to_jsonl();
         let back = read_jsonl(&text).expect("parses");
         assert_eq!(back, t.events());
+    }
+
+    #[test]
+    fn borrowed_labels_read_back_as_equal_owned_values() {
+        let mut t = TraceRecorder::new();
+        let obs = t.open(SpanKind::Observe, "screenshot");
+        t.event(EventKind::FmCall {
+            purpose: "ground_marks".into(),
+            prompt_tokens: 90,
+            completion_tokens: 8,
+        });
+        t.event(EventKind::GroundingAttempt {
+            strategy: "SomHtml".into(),
+            outcome: crate::GroundingOutcome::Resolved,
+        });
+        t.event(EventKind::ValidatorVerdict {
+            validator: "completion".into(),
+            passed: true,
+        });
+        let step = t.open(SpanKind::Step, format!("step {}", 3));
+        t.close(step);
+        t.close(obs);
+        // A literal label is borrowed; a formatted one moved in, owned.
+        let label = |e: &TraceEvent| match &e.kind {
+            EventKind::SpanStart { label, .. } => label.clone(),
+            other => panic!("not a span start: {other:?}"),
+        };
+        assert!(matches!(label(&t.events()[0]), Cow::Borrowed("screenshot")));
+        assert!(matches!(label(&t.events()[4]), Cow::Owned(l) if l == "step 3"));
+
+        let text = t.to_jsonl();
+        let back = read_jsonl(&text).unwrap();
+        assert_eq!(back, t.events(), "owned values equal the borrowed ones");
+        let owned = |e: &TraceEvent| match &e.kind {
+            EventKind::SpanStart { label: s, .. }
+            | EventKind::FmCall { purpose: s, .. }
+            | EventKind::GroundingAttempt { strategy: s, .. }
+            | EventKind::ValidatorVerdict { validator: s, .. } => matches!(s, Cow::Owned(_)),
+            _ => true,
+        };
+        assert!(back.iter().all(owned), "a parsed trace borrows nothing");
+        assert_eq!(
+            events_to_jsonl(&back).unwrap(),
+            text,
+            "and writes the same bytes"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Heap allocations of the JSONL export, counted by a global allocator
-//! that tallies per thread: exporting ten times more events allocates the
-//! same number of times, so nothing is allocated per event and what
-//! remains is the output buffer and its growth.
+//! that tallies per thread: every export, of a small trace or a ten times
+//! larger one, allocates its output buffer once, at exactly the size it
+//! fills, and never reallocates it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -46,16 +46,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations (and reallocations) `f` makes on this thread.
-fn allocs(f: impl FnOnce()) -> u64 {
+/// What `export` returns, and the heap allocations and reallocations it
+/// made on this thread.
+fn measured(export: impl FnOnce() -> String) -> (String, u64) {
     let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
+    let out = black_box(export());
+    (out, ALLOCS.with(Cell::get) - before)
 }
 
 /// A long free-text note, so a line averages 112–114 bytes at both
-/// event counts: the buffer, pre-sized at 96 bytes per event, grows once
-/// either way (the longer seq numbers of the larger trace add about 2).
+/// event counts, more than a fixed per-event size guess would allow for
+/// (the longer seq numbers of the larger trace add about 2).
 const NARRATION: &str = "observed the chart for patient \"Zoë Ångström\" after \
     typing into Notes:\n\tline one \\ line two\u{7f}\u{1b}; the Save button moved \
     12px right, so the next click re-grounds against the fresh screenshot \
@@ -114,24 +115,32 @@ fn trace(rounds: u64) -> TraceRecorder {
 
 #[test]
 fn export_allocations_do_not_grow_with_the_event_count() {
-    let (small, large) = (trace(50), trace(500));
-    assert_eq!(large.events().len(), 10 * small.events().len());
-    // Every variant appears, so every derived shape is on the path.
-    let kinds: std::collections::HashSet<_> = small
-        .events()
-        .iter()
-        .map(|e| std::mem::discriminant(&e.kind))
-        .collect();
-    assert_eq!(kinds.len(), 13, "every EventKind variant is exported");
+    for rounds in [50, 500] {
+        let t = trace(rounds);
+        assert_eq!(t.events().len() as u64, 13 * rounds);
+        // Every variant appears, so every derived shape is on the path.
+        let kinds: std::collections::HashSet<_> = t
+            .events()
+            .iter()
+            .map(|e| std::mem::discriminant(&e.kind))
+            .collect();
+        assert_eq!(kinds.len(), 13, "every EventKind variant is exported");
 
-    let to_jsonl = |t: &TraceRecorder| allocs(|| drop(black_box(t.to_jsonl())));
-    let merged = |t: &TraceRecorder| allocs(|| drop(black_box(merged_jsonl(t.events()))));
-    let (a, b) = (to_jsonl(&small), to_jsonl(&large));
-    assert_eq!(a, b, "to_jsonl: {a} allocations for 1x events, {b} for 10x");
-    let (a, b) = (merged(&small), merged(&large));
-    assert_eq!(
-        a, b,
-        "merged_jsonl: {a} allocations for 1x events, {b} for 10x"
-    );
-    assert!(a <= 4, "only the output buffer and its growth: {a}");
+        let exports = [
+            ("to_jsonl", measured(|| t.to_jsonl())),
+            (
+                "merged_jsonl",
+                measured(|| merged_jsonl(t.events()).expect("serializes")),
+            ),
+        ];
+        for (name, (out, allocs)) in exports {
+            assert_eq!(allocs, 1, "{name} at {rounds} rounds: {allocs} allocations");
+            assert_eq!(
+                out.capacity(),
+                out.len(),
+                "{name} at {rounds} rounds: the buffer is sized exactly"
+            );
+            assert!(out.len() as u64 > 110 * t.events().len() as u64);
+        }
+    }
 }

@@ -138,15 +138,10 @@ pub fn record(session: &mut Session, wd: &str, events: Vec<UserEvent>) -> Record
         log.push(ActionLogEntry {
             frame_index: i,
             event,
-            target_text: d.hit.and_then(
-                |(_, label)| {
-                    if label.is_empty() {
-                        None
-                    } else {
-                        Some(label)
-                    }
-                },
-            ),
+            target_text: d
+                .hit
+                .filter(|(_, label)| !label.is_empty())
+                .map(|(_, label)| label.to_string()),
             url_after: d.url_after,
         });
         frames.push(Frame {
