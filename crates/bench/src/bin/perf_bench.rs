@@ -1,8 +1,8 @@
 //! GUI hot-path cache bench: run the 30-task suite twice per leg — once
 //! through the fleet executor (the Execute hot path, frame-cache heavy)
 //! and once through the full agent pipeline at the WD+KF evidence level
-//! (Demonstrate → Execute → Validate) — with the frame cache and the
-//! identical-rebuild skip on, then again under `ECLAIR_NO_CACHE=1`.
+//! (Demonstrate → Execute → Validate) — with the frame cache on, then
+//! again under `ECLAIR_NO_CACHE=1`.
 //! Proves the two legs are byte-identical (cache transparency) and emits
 //! `BENCH_perf.json`.
 //!
@@ -36,7 +36,6 @@ struct LegJson {
     frame_cache_misses: u64,
     frame_cache_invalidations: u64,
     frame_cache_hit_rate: f64,
-    relayouts_avoided: u64,
     relayouts_full: u64,
     intern_hits: u64,
     intern_misses: u64,
@@ -135,7 +134,6 @@ fn leg_json(l: &Leg, cache_enabled: bool) -> LegJson {
         frame_cache_misses: c.frame_cache_misses,
         frame_cache_invalidations: c.frame_cache_invalidations,
         frame_cache_hit_rate: c.frame_cache_hit_rate(),
-        relayouts_avoided: c.relayouts_avoided,
         relayouts_full: c.relayouts_full,
         intern_hits: c.intern_hits,
         intern_misses: c.intern_misses,
@@ -183,13 +181,11 @@ fn main() -> ExitCode {
 
     let c = &on.counters;
     println!(
-        "cache on : {:.1} ms, frame hits {}/{} ({:.0}%), relayouts avoided {}/{}",
+        "cache on : {:.1} ms, frame hits {}/{} ({:.0}%)",
         on.wall_ms,
         c.frame_cache_hits,
         c.frame_cache_hits + c.frame_cache_misses,
         100.0 * c.frame_cache_hit_rate(),
-        c.relayouts_avoided,
-        c.relayouts_avoided + c.relayouts_full,
     );
     println!(
         "layout   : {} full walks, {} interned strings",

@@ -21,6 +21,8 @@
 //! the only contract addition is calling `begin_step` once per loop
 //! iteration and draining fault notes into the trace.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod fault;
 pub mod schedule;
 pub mod session;

@@ -25,8 +25,8 @@ pub struct ExecConfig {
     pub strategy: GroundingStrategy,
     /// Hard budget on suggested actions.
     pub max_steps: usize,
-    /// Whether the caching layer (the frame cache and the identical-rebuild
-    /// skip) runs underneath this execution. Combined with the
+    /// Whether the frame cache runs underneath this execution. Combined
+    /// with the
     /// `ECLAIR_NO_CACHE=1` kill switch; flipping either must not change a
     /// single serialized byte (the transparency invariant the crucible's
     /// `cache-transparent` oracle enforces).

@@ -17,7 +17,6 @@
 //! association**: input candidates borrow the text of the nearest caption
 //! above/left of them, since the box itself shows only a placeholder.
 
-use eclair_fm::ground::GroundingOutcome;
 use eclair_fm::FmModel;
 use eclair_gui::{Page, Point, Rect, Screenshot, VisualClass};
 use eclair_vision::detector::YoloNasSim;
@@ -213,16 +212,6 @@ fn ground_click_inner(
             (pt, marked.marks)
         }
     }
-}
-
-/// Whether a grounding outcome's click would land inside the true box —
-/// Table 3's accuracy criterion ("If the model clicked on the center of
-/// its prediction, would it successfully hit the target element?").
-pub fn hits_target(outcome: &GroundingOutcome, marks: &[Mark], truth: &Rect) -> bool {
-    outcome
-        .click_point(marks)
-        .map(|p| truth.contains(p))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //! figure; [`calibration`] is the single home of every tuned constant,
 //! each documented with the paper operating point it targets.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod agent;
 pub mod calibration;
 pub mod demonstrate;

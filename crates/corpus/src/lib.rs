@@ -29,6 +29,8 @@
 //! assert_eq!(corpus.manifest.to_json(), again.manifest.to_json());
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod generate;
 pub mod manifest;
 pub mod rng;

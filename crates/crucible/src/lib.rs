@@ -31,6 +31,8 @@
 //! `BENCH_crucible.json`; the repo-level golden corpus (`tests/golden/`)
 //! snapshots canonical scenarios end to end.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod oracles;
 mod rng;
 mod runner;

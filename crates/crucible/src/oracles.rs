@@ -224,11 +224,10 @@ fn faults_iff_chaos(run: &ScenarioRun) -> Verdict {
 }
 
 fn cache_transparent(run: &ScenarioRun) -> Verdict {
-    // The caches are optimizations, never observables: a cached frame is
-    // the frame a render would have painted, and a skipped rebuild keeps
-    // the page a rebuild would have built. The runner re-executed the
-    // scenario with every cache toggled; any drift means a cache served
-    // stale state or leaked its existence into the record.
+    // The frame cache is an optimization, never an observable: a cached
+    // frame is the frame a render would have painted. The runner
+    // re-executed the scenario with the cache toggled; any drift means the
+    // cache served stale state or leaked its existence into the record.
     let flip = &run.cache_flip;
     if flip.outcome.to_json() != run.report.outcome.to_json() {
         return Verdict::Fail(format!(

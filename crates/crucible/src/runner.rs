@@ -12,11 +12,10 @@
 //! re-login that fixes a task the fault-free trajectory fails — so runs
 //! that did take faults are unconstrained across rungs.)
 //!
-//! Every run also gathers a sequential re-execution with every cache —
-//! the frame cache and the identical-rebuild skip — toggled the other
-//! way, feeding the cache-transparent oracle: caching is an
-//! optimization, never an observable, so the flipped evidence must be
-//! byte-identical.
+//! Every run also gathers a sequential re-execution with the frame cache
+//! toggled the other way, feeding the cache-transparent oracle: caching
+//! is an optimization, never an observable, so the flipped evidence must
+//! be byte-identical.
 //!
 //! Finally, every run gathers the scenario's *hybrid twin*: the same
 //! specs with the compiled-bot + FM-fallback policy attached. The
@@ -52,7 +51,7 @@ pub struct ScenarioRun {
     /// The same scenario at rates `[0, rate/2, rate]`, present when
     /// chaos is armed.
     pub ladder: Option<Vec<LadderPoint>>,
-    /// Sequential execution with every cache toggled the other way.
+    /// Sequential execution with the frame cache toggled the other way.
     /// Always gathered: the cache-transparent oracle demands it be
     /// byte-identical to `report`.
     pub cache_flip: FleetReport,

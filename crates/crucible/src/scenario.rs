@@ -57,8 +57,8 @@ pub struct Scenario {
     pub max_attempts: u32,
     /// Worker threads; > 1 arms the parallel-vs-sequential oracle.
     pub workers: usize,
-    /// Whether runs use the caches: the frame cache and the
-    /// identical-rebuild skip. Caching is contractually invisible — the
+    /// Whether runs use the frame cache. Caching is contractually
+    /// invisible — the
     /// runner always gathers an opposite-cache re-run and the
     /// cache-transparent oracle demands byte-identical evidence — so this
     /// knob only decides which side is the baseline.
@@ -167,15 +167,8 @@ impl Scenario {
         }
     }
 
-    /// A copy pinned to a different model profile.
-    pub fn with_profile(&self, profile: FmProfile) -> Self {
-        Self {
-            profile,
-            ..self.clone()
-        }
-    }
-
-    /// A copy with the caches toggled (the runner's transparency re-run).
+    /// A copy with the frame cache toggled (the runner's transparency
+    /// re-run).
     pub fn with_cache(&self, on: bool) -> Self {
         Self {
             use_cache: on,

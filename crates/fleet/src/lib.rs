@@ -37,6 +37,8 @@
 //! assert!(report.outcome.succeeded >= 3);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod backoff;
 mod queue;
 mod report;

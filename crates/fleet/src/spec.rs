@@ -96,12 +96,6 @@ impl RunSpec {
         self
     }
 
-    /// Replace the executor configuration.
-    pub fn with_config(mut self, config: ExecConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Attach a fault-injection profile; attempts will run under chaos.
     pub fn with_chaos(mut self, chaos: ChaosProfile) -> Self {
         self.chaos = Some(chaos);
@@ -114,11 +108,10 @@ impl RunSpec {
         self
     }
 
-    /// Toggle both caches for every attempt of this run: the frame cache
-    /// and the identical-rebuild skip. Caching is transparent (identical
-    /// records and traces either way), so this only changes wall-clock
-    /// and the quarantined perf counters; `ECLAIR_NO_CACHE=1` still
-    /// force-disables them at execution time.
+    /// Toggle the frame cache for every attempt of this run. Caching is
+    /// transparent (identical records and traces either way), so this
+    /// only changes wall-clock and the quarantined perf counters;
+    /// `ECLAIR_NO_CACHE=1` still force-disables it at execution time.
     pub fn with_cache(mut self, on: bool) -> Self {
         self.config.use_cache = on;
         self

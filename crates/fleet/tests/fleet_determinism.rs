@@ -1,7 +1,7 @@
 //! The fleet's headline guarantee, pinned as tests: an 8-worker fleet
 //! produces byte-identical per-run records and merged trace to a
-//! sequential execution of the same specs, and to one with every cache
-//! off, at arbitrary seeds — plus compile-time `Send + Sync` assertions
+//! sequential execution of the same specs, and to one with the frame
+//! cache off, at arbitrary seeds — plus compile-time `Send + Sync` assertions
 //! for every type that crosses a worker boundary, and property tests
 //! over the retry/backoff schedule.
 
@@ -143,7 +143,7 @@ fn budget_and_deadline_outcomes_survive_concurrency() {
 
 proptest! {
     /// Byte-identity across arbitrary seeds: 8 workers == sequential ==
-    /// every cache off, on records JSON and merged JSONL alike.
+    /// frame cache off, on records JSON and merged JSONL alike.
     #[test]
     fn fleet_is_byte_identical_to_sequential_and_to_cache_off(
         seed in 0u64..1_000_000_000,

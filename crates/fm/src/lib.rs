@@ -28,6 +28,8 @@
 //! become able to at temperature 0 — matching the paper's observation that
 //! greedy decoding alone does not fix grounding).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod ground;
 pub mod model;
 pub mod percept;

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use eclair_gui::Screenshot;
 use eclair_trace::{CostKind, EventKind, TraceRecorder, VirtualClock};
-use eclair_vision::marks::{Mark, MarkedScreenshot};
+use eclair_vision::marks::MarkedScreenshot;
 
 use crate::ground::{native_ground, select_mark, GroundingOutcome};
 use crate::percept::{perceive, ScenePercept};
@@ -215,17 +215,6 @@ impl FmModel {
             85 + 4 * marked.items as u64
                 + 3 * marked.marks.len() as u64
                 + (description.len() as u64).div_ceil(4),
-            8,
-        );
-        out
-    }
-
-    /// As [`Self::ground_marks`] but with an explicit mark slice.
-    pub fn ground_mark_slice(&mut self, marks: &[Mark], description: &str) -> GroundingOutcome {
-        let out = select_mark(&self.profile, marks, description, &mut self.rng);
-        self.account(
-            "ground_marks",
-            85 + 3 * marks.len() as u64 + (description.len() as u64).div_ceil(4),
             8,
         );
         out

@@ -65,12 +65,6 @@ impl Prompt {
         self
     }
 
-    /// Append a marked-image part.
-    pub fn marked_image(mut self, m: MarkedScreenshot) -> Self {
-        self.parts.push(Part::MarkedImage(m));
-        self
-    }
-
     /// Total prompt tokens.
     pub fn tokens(&self) -> u64 {
         (self.system.len() as u64).div_ceil(4) + self.parts.iter().map(Part::tokens).sum::<u64>()

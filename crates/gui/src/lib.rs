@@ -27,6 +27,8 @@
 //! RNGs; "animation" (the blinking caret) is a pure function of an explicit
 //! frame counter.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod arena;
 pub mod event;
 pub mod geometry;

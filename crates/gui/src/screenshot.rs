@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::geometry::{Point, Rect, Size};
+use crate::geometry::{Rect, Size};
 use crate::intern::Sym;
 use crate::widget::{Widget, WidgetKind};
 use crate::VIEWPORT;
@@ -323,11 +323,6 @@ impl Screenshot {
             }
         }
         h
-    }
-
-    /// Items whose rect contains `p` (topmost last).
-    pub fn items_at(&self, p: Point) -> Vec<&PaintItem> {
-        self.items.iter().filter(|i| i.rect.contains(p)).collect()
     }
 
     /// Concatenated visible text (reading order), handy for goal predicates

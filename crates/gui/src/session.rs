@@ -2,7 +2,6 @@
 //! the dispatch loop translating raw pixel-level events into application
 //! semantics.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::event::{Dispatch, EffectKind, Key, SemanticEvent, UserEvent};
@@ -10,34 +9,19 @@ use crate::geometry::{Point, Rect};
 use crate::intern::Sym;
 use crate::screenshot::Screenshot;
 use crate::theme::Theme;
-use crate::tree::{keep_spare, take_spare, Page, Spares};
+use crate::tree::Page;
 use crate::widget::{WidgetId, WidgetKind};
 use crate::VIEWPORT;
 
 use eclair_trace::perf;
 
 /// Whether `ECLAIR_NO_CACHE=1` is set: the global kill switch that turns
-/// off the frame cache and the identical-rebuild skip everywhere. The
-/// cache-transparency invariant says flipping this must not change a
-/// single serialized byte.
+/// off the frame cache everywhere. The cache-transparency invariant says
+/// flipping this must not change a single serialized byte.
 pub fn no_cache_env() -> bool {
     std::env::var("ECLAIR_NO_CACHE")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-thread_local! {
-    /// Structural-key buffers no session holds. Launches and rebuilds take
-    /// their buffer from here, and a rebuild or a dropped session returns
-    /// one, so once a thread is warm its keys allocate nothing.
-    static SPARE_KEYS: Spares<u64> = const { RefCell::new(Vec::new()) };
-}
-
-/// `page`'s structural key, in a spare buffer when the thread has one.
-fn new_key(page: &Page) -> Vec<u64> {
-    let mut key = take_spare(&SPARE_KEYS);
-    structural_key(page, &mut key);
-    key
 }
 
 /// Most distinct `(scroll, caret)` frames kept per page epoch. Probing
@@ -112,21 +96,14 @@ pub struct Session {
     /// (a popup appearing, a widget toggling) must not revert what the
     /// user has typed, even over a prefilled value.
     edited: std::collections::HashSet<Sym>,
-    /// Whether the frame cache and the identical-rebuild skip are on.
-    /// Defaults to `!no_cache_env()`; flipping it must be unobservable in
-    /// any serialized artifact (the transparency invariant).
+    /// Whether the frame cache is on. Defaults to `!no_cache_env()`;
+    /// flipping it must be unobservable in any serialized artifact (the
+    /// transparency invariant).
     cache_enabled: bool,
     /// Bumped every time the live page is mutated in place or replaced.
     /// Scroll-only dispatches leave it alone — the dirty-tracking signal
     /// the frame cache and the tests key off.
     page_epoch: u64,
-    /// [`structural_key`] of the last *un-themed* `app.build()` output that
-    /// the live page was produced from. Empty means the live page has local
-    /// mutations a fresh build would not reproduce (typed drafts, locally
-    /// toggled widgets, locally hidden toasts), so the next rebuild must
-    /// take the full transplant path; a real key is never empty. The
-    /// buffer comes from and goes back to the thread's spare key buffers.
-    build_key: Vec<u64>,
     /// Rendered frames for the current page epoch, keyed by what else
     /// feeds `Screenshot::render`: scroll offset and caret rect.
     frame_cache: std::collections::HashMap<(i32, Option<Rect>), Arc<Screenshot>>,
@@ -146,7 +123,6 @@ impl Session {
     pub fn with_theme(app: Box<dyn GuiApp>, theme: Theme) -> Self {
         let cache_enabled = !no_cache_env();
         let mut page = app.build();
-        let build_key = new_key(&page);
         theme.apply(&mut page);
         Self {
             app,
@@ -159,7 +135,6 @@ impl Session {
             edited: std::collections::HashSet::new(),
             cache_enabled,
             page_epoch: 0,
-            build_key,
             frame_cache: std::collections::HashMap::new(),
             frame_order: std::collections::VecDeque::new(),
         }
@@ -196,34 +171,26 @@ impl Session {
         self.focus
     }
 
-    /// Swap in a new theme (e.g. a quarterly UI update) and rebuild.
-    pub fn set_theme(&mut self, theme: Theme) {
-        self.theme = theme;
-        self.rebuild(true);
-    }
-
     fn max_scroll(&self) -> i32 {
         (self.page.content_height as i32 - VIEWPORT.h as i32).max(0)
     }
 
-    /// Turn the frame cache and the identical-rebuild skip on or off for
-    /// this session (the `ECLAIR_NO_CACHE=1` path, and per-run toggles).
-    /// Layout is a plain walk either way.
+    /// Turn the frame cache on or off for this session (the
+    /// `ECLAIR_NO_CACHE=1` path, and per-run toggles).
     pub fn set_cache_enabled(&mut self, on: bool) {
         if self.cache_enabled != on {
             self.cache_enabled = on;
             self.invalidate_frames();
-            self.build_key.clear();
         }
     }
 
-    /// Whether the session's caches are on.
+    /// Whether the session's frame cache is on.
     pub fn cache_enabled(&self) -> bool {
         self.cache_enabled
     }
 
-    /// Dirty-tracking epoch: bumped by every page mutation, untouched by
-    /// scroll-only dispatches and skipped relayouts.
+    /// Dirty-tracking epoch: bumped by every page mutation and rebuild,
+    /// untouched by scroll-only dispatches.
     pub fn page_epoch(&self) -> u64 {
         self.page_epoch
     }
@@ -239,43 +206,18 @@ impl Session {
         }
     }
 
-    /// Record an in-place mutation of the live page: bump the epoch, drop
-    /// cached frames, and forget the build key so the next rebuild takes
-    /// the full transplant path (a fresh build no longer reproduces the
-    /// live page).
+    /// Record that the live page changed, in place or by a rebuild: bump
+    /// the epoch and drop cached frames.
     fn touch_page(&mut self) {
         self.page_epoch += 1;
-        self.build_key.clear();
         self.invalidate_frames();
     }
 
+    /// Replace the live page with a fresh `app.build()`, themed, and carry
+    /// the session state over to it.
     fn rebuild(&mut self, url_changed: bool) {
         let fresh = self.app.build();
-        let key = new_key(&fresh);
-        let same_build = key == self.build_key;
-        keep_spare(
-            &SPARE_KEYS,
-            if same_build {
-                key
-            } else {
-                std::mem::replace(&mut self.build_key, key)
-            },
-        );
-        if self.cache_enabled && !url_changed && same_build {
-            // Skip the rebuild: the app re-rendered a structurally
-            // identical screen and the live page has no local mutations a
-            // transplant would need to reconcile (`build_key` is not
-            // empty), so layout, theming, and transplanting would
-            // reproduce the page we already hold. Mirror only the
-            // session-state transitions a full rebuild performs so the
-            // skip is unobservable.
-            self.focus = None;
-            self.scroll_y = self.scroll_y.clamp(0, self.max_scroll());
-            perf::record(|c| c.relayouts_avoided += 1);
-            return;
-        }
-        self.page_epoch += 1;
-        self.invalidate_frames();
+        self.touch_page();
         let old = std::mem::replace(&mut self.page, fresh);
         self.theme.apply(&mut self.page);
         self.focus = None;
@@ -675,66 +617,12 @@ impl Session {
     }
 }
 
-/// Hands the key buffer to the next launch on this thread.
-impl Drop for Session {
-    fn drop(&mut self) {
-        keep_spare(&SPARE_KEYS, std::mem::take(&mut self.build_key));
-    }
-}
-
-/// Write into `key` an exact encoding of everything layout and theming
-/// consume from a freshly built (un-themed) page. Two builds with equal
-/// keys, laid out and themed under the same theme, produce identical
-/// pages, which is what licenses [`Session::rebuild`] to skip the
-/// reconstruction. The encoding is injective: every variable-length part
-/// (url, title, options, children) is preceded by its length and every
-/// packed field has bits of its own, so equal keys mean equal inputs and
-/// no collision can skip a rebuild that was needed.
-fn structural_key(page: &Page, key: &mut Vec<u64>) {
-    key.clear();
-    push_bytes(key, page.url.as_bytes());
-    push_bytes(key, page.title.as_bytes());
-    // Interned ids are exact stand-ins for the strings (equal ids iff
-    // equal contents) and never leave the process, so the key uses them —
-    // unlike `frame_hash`, which crosses runs.
-    let pair = |lo: Sym, hi: Sym| u64::from(lo.id()) | u64::from(hi.id()) << 32;
-    for w in page.iter() {
-        key.extend_from_slice(&[
-            w.kind as u64,
-            pair(w.tag, w.label),
-            pair(w.name, w.value),
-            u64::from(w.placeholder.id()),
-            w.options.len() as u64,
-        ]);
-        key.extend(w.options.iter().map(|o| u64::from(o.id())));
-        key.extend_from_slice(&[
-            u64::from(w.level) | u64::from(w.enabled) << 8 | u64::from(w.visible) << 9,
-            w.parent.map_or(u64::MAX, |p| u64::from(p.0)),
-            w.children.len() as u64,
-        ]);
-        key.extend(w.children.iter().map(|c| u64::from(c.0)));
-        key.extend_from_slice(&[
-            w.fixed_w.map_or(u64::MAX, u64::from),
-            w.fixed_h.map_or(u64::MAX, u64::from),
-        ]);
-    }
-}
-
-/// Append `bytes` as its length, then the bytes packed 8 to a word (the
-/// last word zero-padded).
-fn push_bytes(key: &mut Vec<u64>, bytes: &[u8]) {
-    key.push(bytes.len() as u64);
-    key.extend(bytes.chunks(8).map(|chunk| {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        u64::from_le_bytes(word)
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tree::{Page, PageBuilder};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A miniature two-screen app used by the session tests: a form that,
     /// on submit, stores the value and navigates to a confirmation screen.
@@ -988,8 +876,7 @@ mod tests {
     }
 
     /// App whose `tick` always requests a rebuild but whose screen never
-    /// changes — the pattern (polling re-render) the identical-rebuild
-    /// skip exists for.
+    /// changes: a polling re-render.
     struct SteadyApp;
     impl GuiApp for SteadyApp {
         fn name(&self) -> &str {
@@ -1018,53 +905,40 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_rebuild_is_skipped_but_edit_dirties_it() {
-        eclair_trace::perf::reset();
+    fn every_rebuild_walks_once_and_keeps_the_draft() {
         let mut s = Session::new(Box::new(SteadyApp));
         assert!(s.cache_enabled());
-        let epoch = s.page_epoch();
-        let base = eclair_trace::perf::snapshot();
-        s.tick(); // app requests a rebuild; nothing changed
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(
-            c.relayouts_avoided - base.relayouts_avoided,
-            1,
-            "identical build skips relayout"
-        );
-        assert_eq!(s.page_epoch(), epoch, "skip leaves the epoch alone");
+        for _ in 0..2 {
+            s.screenshot();
+            let epoch = s.page_epoch();
+            let before = perf::snapshot();
+            s.tick(); // the app re-renders an unchanged screen
+            let after = perf::snapshot();
+            assert_eq!(
+                after.relayouts_full - before.relayouts_full,
+                1,
+                "a rebuild runs exactly one layout walk"
+            );
+            assert_eq!(s.page_epoch(), epoch + 1, "a rebuild bumps the epoch");
+            assert_eq!(
+                after.frame_cache_invalidations - before.frame_cache_invalidations,
+                1,
+                "a rebuild drops the cached frames"
+            );
+        }
 
-        // Scroll-only dispatch stays clean: the next rebuild still skips.
+        let epoch = s.page_epoch();
         s.dispatch(UserEvent::Scroll(120));
-        s.tick();
-        assert_eq!(
-            eclair_trace::perf::snapshot().relayouts_avoided - base.relayouts_avoided,
-            2
-        );
         assert_eq!(s.page_epoch(), epoch, "scrolling does not dirty the page");
 
-        // An edit dirties the subtree: the next rebuild must transplant.
         click_widget(&mut s, "q");
         s.dispatch(UserEvent::Type("draft".into()));
-        assert!(s.page_epoch() > epoch, "typing dirties the page");
-        let before = eclair_trace::perf::snapshot();
         s.tick();
-        let c = eclair_trace::perf::snapshot();
-        assert_eq!(
-            c.relayouts_avoided, before.relayouts_avoided,
-            "dirty page cannot skip"
-        );
-        assert_eq!(
-            c.relayouts_full - before.relayouts_full,
-            1,
-            "dirty page ran exactly one layout walk"
-        );
         let q = s.page().find_by_name("q").unwrap();
-        assert_eq!(s.page().get(q).value, "draft", "transplant kept the draft");
-        // ... and once reconciled, the next identical build skips again.
-        s.tick();
         assert_eq!(
-            eclair_trace::perf::snapshot().relayouts_avoided,
-            before.relayouts_avoided + 1
+            s.page().get(q).value,
+            "draft",
+            "the draft survives the rebuild"
         );
     }
 
@@ -1097,63 +971,170 @@ mod tests {
     fn a_rebuild_that_changes_one_label_never_skips() {
         let mut s = Session::new(Box::new(RelabelApp(0)));
         for n in 1..=3 {
-            let before = eclair_trace::perf::snapshot();
             let epoch = s.page_epoch();
             s.tick();
-            assert_eq!(
-                eclair_trace::perf::snapshot().relayouts_avoided,
-                before.relayouts_avoided,
-                "a changed label must rebuild"
-            );
             assert!(s.page_epoch() > epoch);
             let label = format!("Refresh {n}");
             assert!(s.page().find_by_label(&label, true).is_some(), "{label}");
         }
     }
 
-    fn key_of(page: &Page) -> Vec<u64> {
-        let mut key = Vec::new();
-        structural_key(page, &mut key);
-        key
+    /// What [`ScriptedApp`] renders. A test rewrites it between ticks, and
+    /// every tick re-renders the screen from it.
+    struct Script {
+        url: &'static str,
+        rows: usize,
+        /// The value the app renders into the `note` field.
+        note: &'static str,
+        /// The `agree` checkbox's rendered state; `None` renders it with
+        /// no value at all.
+        agree: Option<bool>,
+    }
+
+    struct ScriptedApp(Rc<RefCell<Script>>);
+    impl GuiApp for ScriptedApp {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn url(&self) -> String {
+            self.0.borrow().url.into()
+        }
+        fn build(&self) -> Page {
+            let script = self.0.borrow();
+            let mut b = PageBuilder::new("Scripted", script.url);
+            let mut note = None;
+            b.form("f", |b| {
+                b.text_input("q", "Query", "type here");
+                note = Some(b.text_input("note", "Note", ""));
+                match script.agree {
+                    Some(checked) => {
+                        b.checkbox("agree", "Agree", checked);
+                    }
+                    None => {
+                        let mut w = crate::widget::Widget::new(WidgetKind::Checkbox);
+                        w.name = "agree".into();
+                        w.label = "Agree".into();
+                        b.push(w);
+                    }
+                }
+            });
+            for i in 0..script.rows {
+                b.text(format!("row {i}"));
+            }
+            let mut page = b.finish();
+            page.get_mut(note.unwrap()).value = script.note.into();
+            page
+        }
+        fn on_event(&mut self, _: SemanticEvent) -> bool {
+            false
+        }
+        fn tick(&mut self) -> bool {
+            true
+        }
+    }
+
+    fn scripted(rows: usize) -> (Session, Rc<RefCell<Script>>) {
+        let script = Rc::new(RefCell::new(Script {
+            url: "/a",
+            rows,
+            note: "",
+            agree: Some(false),
+        }));
+        let s = Session::new(Box::new(ScriptedApp(Rc::clone(&script))));
+        (s, script)
+    }
+
+    fn value_of(s: &Session, name: &str) -> Sym {
+        s.page().get(s.page().find_by_name(name).unwrap()).value
     }
 
     #[test]
-    fn structural_keys_separate_what_a_flat_encoding_would_merge() {
-        assert_eq!(key_of(&SteadyApp.build()), key_of(&SteadyApp.build()));
+    fn a_same_url_rebuild_keeps_the_scroll_offset_and_clamps_it() {
+        let (mut s, script) = scripted(80);
+        s.dispatch(UserEvent::Scroll(400));
+        assert_eq!(s.scroll_y(), 400);
+        s.tick();
+        assert_eq!(s.scroll_y(), 400, "the offset survives a re-render");
 
-        // The url/title boundary.
-        let a = PageBuilder::new("c", "ab").finish();
-        let b = PageBuilder::new("bc", "a").finish();
-        assert_ne!(key_of(&a), key_of(&b), "(\"ab\", \"c\") vs (\"a\", \"bc\")");
+        script.borrow_mut().rows = 20;
+        s.tick();
+        let max = s.page().content_height as i32 - VIEWPORT.h as i32;
+        assert!(
+            (1..400).contains(&max),
+            "the rebuilt page is shorter: {max}"
+        );
+        assert_eq!(s.scroll_y(), max, "the offset is clamped to the new page");
+    }
 
-        // An option moved from one select to its neighbour.
-        let two_selects = |first: &[&str], second: &[&str]| {
-            let mut b = PageBuilder::new("S", "/s");
-            b.select("one", "One", first, None);
-            b.select("two", "Two", second, None);
-            b.finish()
-        };
-        assert_ne!(
-            key_of(&two_selects(&["x", "y"], &["z"])),
-            key_of(&two_selects(&["x"], &["y", "z"]))
+    #[test]
+    fn a_navigation_resets_the_scroll_offset_and_drops_drafts() {
+        let (mut s, script) = scripted(80);
+        click_widget(&mut s, "note");
+        s.dispatch(UserEvent::Type("draft".into()));
+        s.dispatch(UserEvent::Scroll(300));
+        script.borrow_mut().url = "/b";
+        s.tick();
+        assert_eq!(s.page().url, "/b");
+        assert_eq!(s.scroll_y(), 0, "a new page starts at the top");
+        assert_eq!(value_of(&s, "note"), "", "the draft does not survive");
+
+        script.borrow_mut().note = "from the app";
+        s.tick();
+        assert_eq!(
+            value_of(&s, "note"),
+            "from the app",
+            "nor does the field still count as edited"
+        );
+    }
+
+    #[test]
+    fn untouched_values_fill_only_what_the_rebuild_left_empty() {
+        let (mut s, script) = scripted(0);
+        script.borrow_mut().note = "from the app";
+        s.tick();
+        assert_eq!(value_of(&s, "note"), "from the app");
+        script.borrow_mut().note = "";
+        s.tick();
+        assert_eq!(
+            value_of(&s, "note"),
+            "from the app",
+            "an untouched field keeps its old value where the rebuild left it empty"
+        );
+        script.borrow_mut().note = "re-rendered";
+        s.tick();
+        assert_eq!(
+            value_of(&s, "note"),
+            "re-rendered",
+            "an old value never overrides what the app re-rendered"
         );
 
-        // A child moved from one container to another.
-        let mut b = PageBuilder::new("C", "/c");
-        let first = b.row(|b| {
-            b.button("p", "P");
-            b.button("q", "Q");
-        });
-        let second = b.row(|b| {
-            b.button("r", "R");
-        });
-        let page = b.finish();
-        let mut moved = page.clone();
-        let q = moved.find_by_name("q").unwrap();
-        moved.get_mut(first).children.remove_item(q);
-        moved.get_mut(second).children.insert(0, q);
-        moved.get_mut(q).parent = Some(second);
-        assert_ne!(key_of(&page), key_of(&moved));
+        // The app ignores the toggle, so only the live page holds it.
+        click_widget(&mut s, "agree");
+        assert_eq!(value_of(&s, "agree"), "true");
+        script.borrow_mut().agree = None;
+        s.tick();
+        assert_eq!(
+            value_of(&s, "agree"),
+            "true",
+            "an empty toggle takes the old value"
+        );
+        script.borrow_mut().agree = Some(false);
+        s.tick();
+        assert_eq!(value_of(&s, "agree"), "false", "a rendered toggle wins");
+    }
+
+    #[test]
+    fn a_rebuild_drops_focus() {
+        let (mut s, script) = scripted(0);
+        click_widget(&mut s, "q");
+        assert!(s.focus().is_some());
+        s.tick();
+        assert_eq!(s.focus(), None, "a same-URL rebuild drops focus");
+
+        click_widget(&mut s, "q");
+        script.borrow_mut().url = "/b";
+        s.tick();
+        assert_eq!(s.focus(), None, "a navigation drops focus");
     }
 
     #[test]
@@ -1266,7 +1247,6 @@ mod tests {
         let before = eclair_trace::perf::snapshot();
         s.tick();
         let after = eclair_trace::perf::snapshot();
-        assert_eq!(after.relayouts_avoided, before.relayouts_avoided);
         assert_eq!(
             after.relayouts_full - before.relayouts_full,
             1,

@@ -41,8 +41,8 @@ pub trait GuiSurface {
     /// same scroll/caret state may return the same allocation.
     fn screenshot(&mut self) -> Arc<Screenshot>;
 
-    /// Turn the caching layer (frame cache, identical-rebuild skip) on or
-    /// off beneath this surface. Must be observationally transparent:
+    /// Turn the frame cache on or off beneath this surface. Must be
+    /// observationally transparent:
     /// only `eclair_trace::perf` counters may notice. Wrappers forward to
     /// the inner session.
     fn set_cache_enabled(&mut self, _on: bool) {}

@@ -18,7 +18,6 @@
 //! builds into a vector that already has room.
 
 use std::cell::RefCell;
-use std::thread::LocalKey;
 
 use serde::{Deserialize, Serialize};
 
@@ -27,20 +26,21 @@ use crate::intern::Sym;
 use crate::layout;
 use crate::widget::{Widget, WidgetId, WidgetKind};
 
-/// Most vectors a thread keeps in one list of spares. A thread drives a
-/// session or two at a time, and a rebuild holds the live page and its
-/// key beside the fresh build and its key, so a few spares serve every
-/// build; more would only hold memory.
+/// Most widget vectors a thread keeps as spares. A thread drives a
+/// session or two at a time, and a rebuild holds the live page beside the
+/// fresh build, so a few spares serve every build; more would only hold
+/// memory.
 const SPARES: usize = 4;
 
-/// Vectors no page or session holds, kept per thread for reuse: cleared,
-/// but with their capacity, so a warm thread builds pages and rebuild
-/// keys without growing vectors.
-pub(crate) type Spares<T> = RefCell<Vec<Vec<T>>>;
+thread_local! {
+    /// Widget vectors of dropped pages: cleared, but with their capacity,
+    /// so a warm thread builds pages without growing vectors.
+    static SPARE_WIDGETS: RefCell<Vec<Vec<Widget>>> = const { RefCell::new(Vec::new()) };
+}
 
-/// A spare vector from `spares` when this thread has one, else a new one.
-pub(crate) fn take_spare<T>(spares: &'static LocalKey<Spares<T>>) -> Vec<T> {
-    spares
+/// A spare widget vector when this thread has one, else a new one.
+fn take_spare() -> Vec<Widget> {
+    SPARE_WIDGETS
         .try_with(|s| s.borrow_mut().pop())
         .ok()
         .flatten()
@@ -48,21 +48,16 @@ pub(crate) fn take_spare<T>(spares: &'static LocalKey<Spares<T>>) -> Vec<T> {
 }
 
 /// Clear `v` and keep it for a later [`take_spare`] on this thread,
-/// unless `spares` is full.
-pub(crate) fn keep_spare<T>(spares: &'static LocalKey<Spares<T>>, mut v: Vec<T>) {
+/// unless the thread already keeps [`SPARES`] of them.
+fn keep_spare(mut v: Vec<Widget>) {
     v.clear();
     // During thread-local teardown the list may be gone: drop the vector.
-    let _ = spares.try_with(|s| {
+    let _ = SPARE_WIDGETS.try_with(|s| {
         let mut list = s.borrow_mut();
         if list.len() < SPARES {
             list.push(v);
         }
     });
-}
-
-thread_local! {
-    /// Widget vectors of dropped pages.
-    static SPARE_WIDGETS: Spares<Widget> = const { RefCell::new(Vec::new()) };
 }
 
 /// A fully built screen: widgets + metadata + computed layout.
@@ -376,7 +371,7 @@ impl Page {
 /// Hands the widget vector to the next [`PageBuilder::new`] on this thread.
 impl Drop for Page {
     fn drop(&mut self) {
-        keep_spare(&SPARE_WIDGETS, std::mem::take(&mut self.widgets));
+        keep_spare(std::mem::take(&mut self.widgets));
     }
 }
 
@@ -408,7 +403,7 @@ impl PageBuilder {
     pub fn new(title: impl Into<String>, url: impl Into<String>) -> Self {
         let mut root = Widget::new(WidgetKind::Root);
         root.id = WidgetId(0);
-        let mut widgets = take_spare(&SPARE_WIDGETS);
+        let mut widgets = take_spare();
         widgets.push(root);
         Self {
             title: title.into(),
@@ -614,14 +609,6 @@ impl PageBuilder {
             out = b.attach(sel);
         });
         out
-    }
-
-    /// An entry of a menu / dropdown.
-    pub fn menu_item(&mut self, name: impl Into<Sym>, label: impl Into<Sym>) -> WidgetId {
-        let mut w = Widget::new(WidgetKind::MenuItem);
-        w.name = name.into();
-        w.label = label.into();
-        self.attach(w)
     }
 
     /// A tab header.

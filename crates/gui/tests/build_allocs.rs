@@ -113,8 +113,7 @@ fn a_warm_rebuild_does_not_grow_its_widget_vector() {
     let mut s = Session::new(Box::new(Orders::new()));
     let widgets = s.page().len();
     assert!(widgets >= 35, "{widgets} widgets");
-    // The first rebuilds fill this thread's spare widget vectors and key
-    // buffers.
+    // The first rebuilds fill this thread's spare widget vectors.
     for _ in 0..3 {
         s.tick();
     }

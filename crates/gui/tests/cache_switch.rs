@@ -1,4 +1,5 @@
-//! `ECLAIR_NO_CACHE` has one definition: only `"1"` turns the caches off.
+//! `ECLAIR_NO_CACHE` has one definition: only `"1"` turns the frame cache
+//! off.
 //! This lives in its own integration binary because it sets a
 //! process-global environment variable.
 

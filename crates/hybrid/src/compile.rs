@@ -52,23 +52,6 @@ pub struct HybridScript {
     pub recompiled: u64,
 }
 
-impl HybridScript {
-    /// View as the plain RPA script (drops fallback metadata).
-    pub fn to_rpa(&self) -> eclair_rpa::RpaScript {
-        eclair_rpa::RpaScript {
-            name: self.name.clone(),
-            steps: self
-                .steps
-                .iter()
-                .map(|s| eclair_rpa::RpaStep {
-                    selector: s.selector.clone(),
-                    op: s.op.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Compile `task`'s validated trace into a bot script. Replays the trace
 /// on a pristine launch (the authoring recording), anchors each action
 /// with [`best_selector`], and enforces the gold-outcome gate: the

@@ -21,6 +21,8 @@
 //!   fleet, chaos schedules, virtual clock, and metrics registry all
 //!   thread through unchanged.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod compile;
 pub mod execute;
 pub mod policy;

@@ -8,8 +8,7 @@
 //! binary-classification precision/recall/F1 (Table 4), per-example accuracy
 //! averaged over a task set (Tables 2 and 3), or per-SOP step counts averaged
 //! over workflows (Table 1). This crate provides those quantities once, with
-//! deterministic bootstrap confidence intervals and ASCII/markdown table
-//! rendering used by the `eclair-bench` harnesses.
+//! the ASCII/markdown table rendering used by the `eclair-bench` harnesses.
 //!
 //! ## Quick example
 //!
@@ -24,7 +23,8 @@
 //! assert!((cm.recall() - 2.0 / 3.0).abs() < 1e-12);
 //! ```
 
-pub mod bootstrap;
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod classification;
 pub mod report;
 pub mod stats;

@@ -25,6 +25,8 @@
 //!   faults, and retries; and locate the first divergence between two
 //!   traces.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod analyze;
 mod metrics;
 mod profile;

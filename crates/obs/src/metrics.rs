@@ -197,7 +197,6 @@ impl MetricsRegistry {
         self.inc("cache.frame_hits", c.frame_cache_hits);
         self.inc("cache.frame_misses", c.frame_cache_misses);
         self.inc("cache.frame_invalidations", c.frame_cache_invalidations);
-        self.inc("cache.relayouts_avoided", c.relayouts_avoided);
         self.inc("cache.relayouts_full", c.relayouts_full);
         self.inc("gui.intern_hits", c.intern_hits);
         self.inc("gui.intern_misses", c.intern_misses);
@@ -477,13 +476,13 @@ mod tests {
     fn absorb_perf_exposes_cache_counters() {
         let c = eclair_trace::perf::PerfCounters {
             frame_cache_hits: 9,
-            relayouts_avoided: 4,
+            relayouts_full: 4,
             ..Default::default()
         };
         let mut r = MetricsRegistry::new();
         r.absorb_perf(&c);
         assert_eq!(r.counters["cache.frame_hits"], 9);
-        assert_eq!(r.counters["cache.relayouts_avoided"], 4);
+        assert_eq!(r.counters["cache.relayouts_full"], 4);
         assert_eq!(r.counters["cache.frame_misses"], 0);
         assert!(
             !r.counters

@@ -20,6 +20,8 @@
 //!   maintenance, cost per processed item — RPA's side of the case-study
 //!   comparison.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod bot;
 pub mod drift;
 pub mod economics;

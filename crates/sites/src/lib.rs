@@ -23,6 +23,8 @@
 //! semantic-event state transitions, and `probe()` keys for auditing. All
 //! fixture data is deterministic.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod ehr;
 pub mod erp;
 pub mod fixtures;

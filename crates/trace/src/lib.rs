@@ -25,6 +25,8 @@
 //! never appear in the byte-compared stream, or cache-on and cache-off
 //! runs could not be byte-identical (the PR 5 transparency invariant).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 mod audit;
 mod event;
 mod flight;

@@ -31,12 +31,8 @@ pub struct PerfCounters {
     /// Frame-cache invalidations (page mutated / fault dirtied the layout
     /// while cached frames existed).
     pub frame_cache_invalidations: u64,
-    /// `Session::rebuild` calls that skipped page reconstruction because
-    /// the app's fresh build was structurally identical.
-    pub relayouts_avoided: u64,
     /// Layout walks the GUI layout engine ran; every layout is a full
-    /// walk. Counted at the engine, not the session, so a skipped walk
-    /// can never masquerade as a saved one.
+    /// walk, counted at the engine.
     pub relayouts_full: u64,
     /// Always 0: layouts are never replayed from a cache. Kept only
     /// because the end-to-end benchmark still reports it as
@@ -106,7 +102,6 @@ impl PerfCounters {
         self.frame_cache_hits += other.frame_cache_hits;
         self.frame_cache_misses += other.frame_cache_misses;
         self.frame_cache_invalidations += other.frame_cache_invalidations;
-        self.relayouts_avoided += other.relayouts_avoided;
         self.relayouts_full += other.relayouts_full;
         self.layout_cache_hits += other.layout_cache_hits;
         self.intern_hits += other.intern_hits;
@@ -138,7 +133,6 @@ thread_local! {
         frame_cache_hits: 0,
         frame_cache_misses: 0,
         frame_cache_invalidations: 0,
-        relayouts_avoided: 0,
         relayouts_full: 0,
         layout_cache_hits: 0,
         intern_hits: 0,
@@ -219,13 +213,13 @@ mod tests {
         };
         let b = PerfCounters {
             frame_cache_hits: 2,
-            relayouts_avoided: 5,
+            relayouts_full: 5,
             jsonl_events_rendered: 7,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.frame_cache_hits, 3);
-        assert_eq!(a.relayouts_avoided, 5);
+        assert_eq!(a.relayouts_full, 5);
         assert_eq!(a.jsonl_events_rendered, 17);
     }
 }

@@ -19,6 +19,8 @@
 //!   candidate boxes from either the detector or ground-truth HTML;
 //! * [`diff`] — perceptual screen diffing used by the Validate experiments.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod detector;
 pub mod diff;
 pub mod frame;

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use eclair_gui::{PaintItem, Screenshot};
+use eclair_gui::PaintItem;
 
 /// OCR quality knob: 1.0 = perfect reading, 0.0 = hopeless.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,21 +80,6 @@ pub fn read_item<R: Rng>(item: &PaintItem, acuity: Acuity, rng: &mut R) -> Strin
         }
     }));
     read
-}
-
-/// Read every textual item of a screenshot; returns `(index, read_text)`
-/// pairs for items with non-empty text.
-pub fn read_screenshot<R: Rng>(
-    shot: &Screenshot,
-    acuity: Acuity,
-    rng: &mut R,
-) -> Vec<(usize, String)> {
-    shot.items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| !it.text.is_empty())
-        .map(|(i, it)| (i, read_item(it, acuity, rng)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@
 //!   decision making × knowledge intensity → which technology can automate
 //!   it).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod action;
 pub mod category;
 pub mod constraints;

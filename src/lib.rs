@@ -19,7 +19,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`metrics`] | classification metrics, bootstrap CIs, table rendering |
+//! | [`metrics`] | classification metrics, table rendering |
 //! | [`gui`] | the simulated GUI substrate (widgets, layout, sessions, screenshots) |
 //! | [`vision`] | recordings, key frames, OCR, detection, set-of-marks |
 //! | [`workflow`] | SOPs, actions, traces, integrity constraints, matching |
@@ -30,6 +30,8 @@
 //! | [`fleet`] | concurrent multi-workflow scheduler (retries, budgets, backpressure) |
 //! | [`hybrid`] | trace→script compiler, drift-detecting bot executor, recompiler |
 //! | [`trace`] | deterministic spans, virtual clock, JSONL flight records |
+
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use eclair_chaos as chaos;
 pub use eclair_core as core;
